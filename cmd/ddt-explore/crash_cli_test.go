@@ -56,6 +56,42 @@ func TestRunSurvivesCorruptCache(t *testing.T) {
 	}
 }
 
+// TestRunMovesAsideV3Cache pins the end of the pre-v4 readers: a cache
+// written in the v3-era gob layout (no DDTCACHE magic) is no longer a
+// cache the loader accepts, so the command warns, preserves it as
+// <path>.corrupt, runs cold and exits 0 with a fresh v4 cache in place.
+func TestRunMovesAsideV3Cache(t *testing.T) {
+	v3, err := os.ReadFile(filepath.Join("testdata", "v3_cache.gob"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "url.simcache")
+	if err := os.WriteFile(path, v3, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stderr bytes.Buffer
+	cmd := childExplore("-app", "URL", "-packets", "300", "-cache", path)
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("v3-era cache failed the run: %v\n%s", err, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "is unusable") {
+		t.Errorf("no unusable-cache warning on stderr:\n%s", stderr.String())
+	}
+	if !strings.Contains(string(out), "cache hits 0,") {
+		t.Errorf("run did not go cold:\n%s", out)
+	}
+	aside, err := os.ReadFile(path + ".corrupt")
+	if err != nil || !bytes.Equal(aside, v3) {
+		t.Fatalf("v3-era cache not preserved aside intact (err %v)", err)
+	}
+	head, err := os.ReadFile(path)
+	if err != nil || !bytes.HasPrefix(head, []byte("DDTCACHE")) {
+		t.Fatalf("no fresh sectioned cache written over the v3-era path (err %v)", err)
+	}
+}
+
 // TestRepeatedCorruptionNumbersAside pins the evidence-preservation
 // contract across repeated corruption: a second unusable cache must
 // move aside to <path>.corrupt.1 — never overwrite the first event's

@@ -18,13 +18,15 @@
 // ops coalesced) into fixed-size chunks, so recording never reallocates
 // large buffers and a stream costs a few bytes per event.
 //
-// Beyond whole-run streams, the package implements compositional
-// capture (see compose.go): one arena-mode run records a segmented
+// There is one stream format: the segmented lane sub-stream of
+// compositional capture (see compose.go). One arena-mode run records a
 // sub-stream per container role plus the DDT-invariant operation
 // schedule, and any DDT combination's stream is synthesized by
 // interleaving per-role sub-streams at the recorded operation
 // boundaries — the seam that collapses a 10^K combination cross-product
-// to ~10·K captures.
+// to ~10·K captures. A whole-run capture is the degenerate case: a
+// recorder with zero roles yields one lane holding the whole run as a
+// single segment, replayed by the same composed kernels.
 package astream
 
 import (
@@ -42,9 +44,8 @@ import (
 // bytes] [size varint if flagSized]. Folding the ALU cycles accumulated
 // since the previous access into the access event (flagOps) halves the
 // event count of the typical walk-compare-walk simulation loop.
-// Standalone op events only appear when a peak snapshot or the end of
-// the stream forces a flush; peaks carry the footprint high-water mark
-// as a delta (it only grows).
+// Standalone op events only appear when a segment end forces a flush;
+// footprint travels in the segment-end events.
 const (
 	flagAccess = 1 << 7 // access event marker
 	flagWrite  = 1 << 0 // store, not load
@@ -52,9 +53,10 @@ const (
 	flagOps    = 1 << 2 // coalesced op cycles precede the addr delta
 	widthShift = 3      // bits 3-4: addr-delta byte length minus one
 
-	tagOp   = 1 // cycles varint
-	tagPeak = 2 // peak delta varint
-	tagSeg  = 3 // segment end: footprint max-delta varint + zigzag end-delta varint
+	tagOp  = 1 // cycles varint
+	tagSeg = 3 // segment end: footprint max-delta varint + zigzag end-delta varint
+	// Tag 2 is retired (the whole-run footprint snapshot); persisted lanes
+	// never contain it, and decoders reject it as unknown.
 )
 
 // chunkBytes is the size of one encoded chunk. Chunks are sealed with
@@ -73,17 +75,17 @@ type Stream struct {
 	// Chunks hold the delta/varint-encoded events.
 	Chunks [][]byte
 	// NumEvents counts logical events: accesses, coalesced ops (whether
-	// folded into an access or standalone) and peak snapshots.
+	// folded into an access or standalone) and segment ends.
 	NumEvents uint64
 	// Accesses counts the read/write events among NumEvents.
 	Accesses uint64
-	// Peak is the final footprint high-water mark in bytes — the
-	// platform-invariant part of the cost vector the heap contributes.
+	// Peak is always zero: footprint travels in the segment-end events.
+	// The field stays so persisted lanes keep their encoding.
 	Peak uint64
 	// Partial marks a stream whose capture was stopped early (the run was
-	// aborted by the dominance guard). Partial streams are kept for
-	// inspection but must never be replayed across configurations: they
-	// prove nothing about how the full run would have behaved.
+	// aborted by the dominance guard). Partial streams must never be
+	// replayed: they prove nothing about how the full run would have
+	// behaved.
 	Partial bool
 }
 
@@ -102,37 +104,32 @@ func (s *Stream) String() string {
 	if s.Partial {
 		state = "partial"
 	}
-	return fmt.Sprintf("astream.Stream{%d events, %d accesses, %dB encoded, peak %dB, %s}",
-		s.NumEvents, s.Accesses, s.SizeBytes(), s.Peak, state)
+	return fmt.Sprintf("astream.Stream{%d events, %d accesses, %dB encoded, %s}",
+		s.NumEvents, s.Accesses, s.SizeBytes(), state)
 }
 
-// Recorder encodes an access stream as it happens. It implements
-// memsim.EventSink, so attaching it to a Hierarchy (or a whole platform
-// via platform.Capture) tees every simulated access — with the ALU ops
-// charged since the previous one — into the stream; RecordPeak
-// additionally snapshots the heap's footprint high-water mark so replays
-// can reconstruct the fourth metric. A Recorder is single-simulation,
-// single-goroutine state; call Finish exactly once when the run
-// completes (or aborts).
-type Recorder struct {
+// laneRecorder encodes one lane's access stream as it happens: every
+// simulated access — with the ALU ops charged since the previous one —
+// is appended to the stream. ComposedRecorder runs one per lane and
+// seals their segments; it is single-simulation, single-goroutine state.
+type laneRecorder struct {
 	chunks    [][]byte
 	buf       []byte // current chunk, written through w
 	w         int
 	lastAddr  uint32
-	lastPeak  uint64
 	pendingOp uint64
 	events    uint64
 	accesses  uint64
 	segments  uint64
 }
 
-// NewRecorder returns an empty recorder.
-func NewRecorder() *Recorder {
-	return &Recorder{buf: make([]byte, chunkBytes)}
+// newRecorder returns an empty recorder.
+func newRecorder() *laneRecorder {
+	return &laneRecorder{buf: make([]byte, chunkBytes)}
 }
 
 // grow seals the current chunk and starts a fresh one.
-func (r *Recorder) grow() {
+func (r *laneRecorder) grow() {
 	r.chunks = append(r.chunks, r.buf[:r.w:r.w])
 	r.buf = make([]byte, chunkBytes)
 	r.w = 0
@@ -176,7 +173,7 @@ func putUvarint(buf []byte, w int, v uint64) int {
 
 // RecordAccess encodes one simulated load or store plus the op cycles
 // charged since the previous event (memsim.EventSink).
-func (r *Recorder) RecordAccess(write bool, addr, size uint32, ops uint64) {
+func (r *laneRecorder) RecordAccess(write bool, addr, size uint32, ops uint64) {
 	if r.pendingOp != 0 {
 		ops += r.pendingOp
 		r.pendingOp = 0
@@ -224,12 +221,13 @@ func (r *Recorder) RecordAccess(write bool, addr, size uint32, ops uint64) {
 }
 
 // RecordOps accumulates op cycles with no following access
-// (memsim.EventSink); they fold into the next event or flush at Finish.
-func (r *Recorder) RecordOps(n uint64) { r.pendingOp += n }
+// (memsim.EventSink); they fold into the next event or flush at the
+// segment end.
+func (r *laneRecorder) RecordOps(n uint64) { r.pendingOp += n }
 
-// flushOp emits a standalone op event — only a peak snapshot or the end
-// of the stream forces one; ops before an access fold into it.
-func (r *Recorder) flushOp() {
+// flushOp emits a standalone op event — only a segment end forces one;
+// ops before an access fold into it.
+func (r *laneRecorder) flushOp() {
 	if r.w >= chunkHighMark {
 		r.grow()
 	}
@@ -239,31 +237,11 @@ func (r *Recorder) flushOp() {
 	r.events++
 }
 
-// RecordPeak snapshots the heap footprint high-water mark. Calls with a
-// non-growing peak are ignored; wire it to vheap's peak hook, which only
-// fires on growth.
-func (r *Recorder) RecordPeak(peak uint64) {
-	if peak <= r.lastPeak {
-		return
-	}
-	if r.pendingOp != 0 {
-		r.flushOp()
-	}
-	if r.w >= chunkHighMark {
-		r.grow()
-	}
-	r.buf[r.w] = tagPeak
-	r.w = putUvarint(r.buf, r.w+1, peak-r.lastPeak)
-	r.lastPeak = peak
-	r.events++
-}
-
 // recordSeg seals one capture segment: pending ops are flushed into the
 // segment, then a tagSeg event records the segment's footprint deltas
 // (high-water mark and net change of the owning arena's live bytes,
-// relative to the segment start). Only compositional capture writes
-// segments; plain streams never contain tagSeg.
-func (r *Recorder) recordSeg(maxDelta uint64, endDelta int64) {
+// relative to the segment start).
+func (r *laneRecorder) recordSeg(maxDelta uint64, endDelta int64) {
 	if r.pendingOp != 0 {
 		r.flushOp()
 	}
@@ -277,10 +255,10 @@ func (r *Recorder) recordSeg(maxDelta uint64, endDelta int64) {
 	r.segments++
 }
 
-// Finish seals the stream. partial marks a capture that was cut short by
+// finish seals the stream. partial marks a capture that was cut short by
 // an aborted run; such streams are never replayed. The recorder must not
 // be used afterwards.
-func (r *Recorder) Finish(partial bool) *Stream {
+func (r *laneRecorder) finish(partial bool) *Stream {
 	if r.pendingOp != 0 {
 		r.flushOp()
 	}
@@ -293,7 +271,6 @@ func (r *Recorder) Finish(partial bool) *Stream {
 		Chunks:    chunks,
 		NumEvents: r.events,
 		Accesses:  r.accesses,
-		Peak:      r.lastPeak,
 		Partial:   partial,
 	}
 }
@@ -306,14 +283,12 @@ const (
 	EvRead EventKind = iota
 	EvWrite
 	EvOp
-	EvPeak
 	EvSeg
 )
 
 // Event is one decoded stream event. Addr/Size are set for accesses; N
-// holds the cycle count of an op, the absolute footprint of a peak, or
-// the footprint max-delta of a segment end (whose signed net live-byte
-// change is in Delta).
+// holds the cycle count of an op or the footprint max-delta of a segment
+// end (whose signed net live-byte change is in Delta).
 type Event struct {
 	Kind  EventKind
 	Addr  uint32
@@ -327,7 +302,7 @@ type Event struct {
 // expanded back into a separate EvOp preceding the access, so the
 // decoded sequence is exactly the recorded one (after the documented op
 // coalescing). It is the inspection and test path; replay uses the
-// batched decoder.
+// batched segment decoder.
 func (s *Stream) ForEach(fn func(Event) bool) error {
 	d := decoder{chunks: s.Chunks}
 	for {
@@ -376,15 +351,6 @@ func (s *Stream) ForEach(fn func(Event) bool) error {
 			if !fn(Event{Kind: EvOp, N: u}) {
 				return nil
 			}
-		case tag == tagPeak:
-			u, ok := d.uvarint()
-			if !ok {
-				return d.corrupt()
-			}
-			d.lastPeak += u
-			if !fn(Event{Kind: EvPeak, N: d.lastPeak}) {
-				return nil
-			}
 		case tag == tagSeg:
 			maxD, ok := d.uvarint()
 			if !ok {
@@ -413,8 +379,8 @@ const batchEvents = 2048
 // batch is the struct-of-arrays form the batched decoder fills: the
 // shape the replay kernels want. Only the access sequence needs order
 // (cache state depends on it); the platform-invariant quantities —
-// read/write word counts, op cycles, footprint peak — are order-free
-// between accesses and arrive as per-batch aggregates.
+// read/write word counts, op cycles — are order-free between accesses
+// and arrive as per-batch aggregates.
 type batch struct {
 	nAcc int
 	addr [batchEvents]uint32
@@ -423,7 +389,6 @@ type batch struct {
 	readWords  uint64 // word loads decoded in this batch
 	writeWords uint64 // word stores decoded in this batch
 	opCycles   uint64 // ALU cycles decoded in this batch
-	peak       uint64 // footprint high-water mark as of the batch end
 }
 
 // decoder walks a chunk sequence, maintaining the delta state.
@@ -433,7 +398,6 @@ type decoder struct {
 	buf      []byte
 	pos      int
 	lastAddr uint32
-	lastPeak uint64
 }
 
 // delta decodes one fixed-width address delta of widthM1+1 bytes at the
@@ -485,102 +449,6 @@ func uvarintAt(buf []byte, pos int) (uint64, int) {
 		return 0, -1
 	}
 	return u, pos + w
-}
-
-// next fills b with up to batchEvents decoded accesses plus the
-// invariant aggregates of the same span. It returns false once the
-// stream is exhausted (the final batch may still carry data). The
-// recorder never splits an event across chunks, so the inner loop
-// decodes one chunk with purely local state.
-func (d *decoder) next(b *batch) (bool, error) {
-	n := 0
-	b.readWords, b.writeWords, b.opCycles = 0, 0, 0
-	for n < batchEvents {
-		if d.pos >= len(d.buf) {
-			if d.ci >= len(d.chunks) {
-				b.nAcc = n
-				b.peak = d.lastPeak
-				return false, nil // stream exhausted
-			}
-			d.buf = d.chunks[d.ci]
-			d.ci++
-			d.pos = 0
-			continue
-		}
-		buf, pos := d.buf, d.pos
-		lastAddr := d.lastAddr
-		// Hot path written out inline: the address delta is one masked
-		// 4-byte load, and the one-byte varint case (ops, sizes) avoids
-		// the uvarintAt call, which is beyond the inlining budget.
-		for n < batchEvents && pos < len(buf) {
-			tag := buf[pos]
-			pos++
-			if tag&flagAccess != 0 {
-				if tag&flagOps != 0 {
-					var ops uint64
-					if pos < len(buf) && buf[pos] < 0x80 {
-						ops = uint64(buf[pos])
-						pos++
-					} else if ops, pos = uvarintAt(buf, pos); pos < 0 {
-						return false, d.corrupt()
-					}
-					b.opCycles += ops
-				}
-				widthM1 := int(tag>>widthShift) & 3
-				var du uint32
-				if pos+4 <= len(buf) {
-					du = binary.LittleEndian.Uint32(buf[pos:]) & deltaMasks[widthM1]
-				} else {
-					if pos+widthM1 >= len(buf) {
-						return false, d.corrupt()
-					}
-					for k := 0; k <= widthM1; k++ {
-						du |= uint32(buf[pos+k]) << (8 * k)
-					}
-				}
-				pos += widthM1 + 1
-				addr := lastAddr + uint32(unzigzag32(du))
-				lastAddr = addr
-				size := uint64(4)
-				if tag&flagSized != 0 {
-					if pos < len(buf) && buf[pos] < 0x80 {
-						size = uint64(buf[pos])
-						pos++
-					} else if size, pos = uvarintAt(buf, pos); pos < 0 {
-						return false, d.corrupt()
-					}
-				}
-				words := (size + 3) / 4
-				if tag&flagWrite != 0 {
-					b.writeWords += words
-				} else {
-					b.readWords += words
-				}
-				b.addr[n] = addr
-				b.size[n] = uint32(size)
-				n++
-			} else if tag == tagOp {
-				var u uint64
-				if u, pos = uvarintAt(buf, pos); pos < 0 {
-					return false, d.corrupt()
-				}
-				b.opCycles += u
-			} else if tag == tagPeak {
-				var u uint64
-				if u, pos = uvarintAt(buf, pos); pos < 0 {
-					return false, d.corrupt()
-				}
-				d.lastPeak += u
-			} else {
-				return false, fmt.Errorf("astream: unknown event tag %d in chunk %d", tag, d.ci-1)
-			}
-		}
-		d.pos = pos
-		d.lastAddr = lastAddr
-	}
-	b.nAcc = n
-	b.peak = d.lastPeak
-	return true, nil
 }
 
 func (d *decoder) corrupt() error {

@@ -8,14 +8,18 @@ import (
 	"repro/internal/memsim"
 )
 
+// evFoot is a test-script event (never encoded): the run's live heap
+// bytes change by Delta, as allocations and frees would move them.
+const evFoot astream.EventKind = 200
+
 // randEvents produces a deterministic pseudo-random event script with the
 // mix a DDT simulation produces: mostly one-word accesses with locality,
-// occasional multi-word record accesses, interleaved ops and growing
-// footprint snapshots.
+// occasional multi-word record accesses, interleaved ops and footprint
+// changes (mostly growth, some frees).
 func randEvents(rng *rand.Rand, n int) []astream.Event {
 	evs := make([]astream.Event, 0, n)
 	addr := uint32(0x1000_0000)
-	peak := uint64(0)
+	live := int64(0)
 	for i := 0; i < n; i++ {
 		switch r := rng.Intn(10); {
 		case r < 4: // one-word read nearby
@@ -29,21 +33,45 @@ func randEvents(rng *rand.Rand, n int) []astream.Event {
 			evs = append(evs, astream.Event{Kind: astream.EvRead, Addr: addr &^ 7, Size: size})
 		case r < 9: // ALU op
 			evs = append(evs, astream.Event{Kind: astream.EvOp, N: uint64(1 + rng.Intn(100))})
-		default: // footprint growth
-			peak += uint64(8 + rng.Intn(512))
-			evs = append(evs, astream.Event{Kind: astream.EvPeak, N: peak})
+		default: // footprint change: mostly growth, sometimes a free
+			d := int64(8 + rng.Intn(512))
+			if rng.Intn(3) == 0 && live >= d {
+				d = -d
+			}
+			live += d
+			evs = append(evs, astream.Event{Kind: evFoot, Delta: d})
 		}
 	}
 	return evs
 }
 
-// record drives the event script through a live Hierarchy with the
-// recorder attached as its event sink — the exact wiring a captured
-// simulation uses (peaks arrive via the heap hook, modeled directly).
-func record(evs []astream.Event) *astream.Stream {
-	rec := astream.NewRecorder()
+// footMeter is a LaneMeter over the script's live bytes — the stand-in
+// for the heap a whole-run capture meters.
+type footMeter struct{ live, start, max uint64 }
+
+func (m *footMeter) BeginSegment() { m.start, m.max = m.live, m.live }
+
+func (m *footMeter) SegmentStats() (uint64, int64) {
+	return m.max - m.start, int64(m.live) - int64(m.start)
+}
+
+func (m *footMeter) add(d int64) {
+	m.live = uint64(int64(m.live) + d)
+	if m.live > m.max {
+		m.max = m.live
+	}
+}
+
+// recordRun drives the event script through a live Hierarchy with a
+// zero-role composed recorder attached as its event sink — the exact
+// wiring of a whole-run capture, with the script's footprint changes
+// metered by footMeter. It returns the one-token schedule and the
+// run's single lane; partial marks an aborted capture.
+func recordRun(evs []astream.Event, partial bool) (*astream.Schedule, []*astream.SubStream) {
+	m := &footMeter{}
+	cr := astream.NewComposedRecorder(nil, []astream.LaneMeter{m})
 	h := memsim.New(memsim.DefaultConfig())
-	h.SetEventSink(rec)
+	h.SetEventSink(cr)
 	for _, ev := range evs {
 		switch ev.Kind {
 		case astream.EvRead:
@@ -52,34 +80,38 @@ func record(evs []astream.Event) *astream.Stream {
 			h.Write(ev.Addr, ev.Size)
 		case astream.EvOp:
 			h.Op(ev.N)
-		case astream.EvPeak:
-			rec.RecordPeak(ev.N)
+		case evFoot:
+			m.add(ev.Delta)
 		}
+		h.Boundary(0) // one lane: every boundary is a no-op
 	}
 	h.SetEventSink(nil)
-	return rec.Finish(false)
+	return cr.Finish(partial)
 }
 
-// coalesce maps an event script to the form capture encodes: op cycles
-// accumulate until the next access (where they surface as one op event
-// before it, passing any intervening peaks) or the end of the stream;
-// zero-size accesses and non-growing peaks are dropped. The reordering
-// of ops across peaks is unobservable in cost space — every snapshot the
-// simulator takes happens on an access.
+// record is recordRun for a complete capture, returning just the lane.
+func record(evs []astream.Event) *astream.SubStream {
+	_, lanes := recordRun(evs, false)
+	return lanes[0]
+}
+
+// coalesce maps an event script to the form a whole-run capture
+// encodes: op cycles accumulate until the next access (where they
+// surface as one op event before it) or the end of the stream;
+// zero-size accesses and footprint changes are dropped, and the single
+// segment end closes the stream with the run's footprint deltas.
 func coalesce(evs []astream.Event) []astream.Event {
 	var out []astream.Event
 	var pending uint64
-	peak := uint64(0)
+	var live, peak int64
 	for _, ev := range evs {
 		switch ev.Kind {
 		case astream.EvOp:
 			pending += ev.N
-		case astream.EvPeak:
-			if ev.N <= peak {
-				continue
+		case evFoot:
+			if live += ev.Delta; live > peak {
+				peak = live
 			}
-			peak = ev.N
-			out = append(out, ev)
 		case astream.EvRead, astream.EvWrite:
 			if ev.Size == 0 {
 				continue
@@ -94,7 +126,7 @@ func coalesce(evs []astream.Event) []astream.Event {
 	if pending != 0 {
 		out = append(out, astream.Event{Kind: astream.EvOp, N: pending})
 	}
-	return out
+	return append(out, astream.Event{Kind: astream.EvSeg, N: uint64(peak), Delta: live})
 }
 
 func TestRoundTrip(t *testing.T) {
@@ -142,7 +174,7 @@ func TestRoundTripStopsEarly(t *testing.T) {
 // totals — the ground truth replay must reproduce exactly.
 func liveCost(evs []astream.Event, cfg memsim.Config) (memsim.Counts, uint64, uint64) {
 	h := memsim.New(cfg)
-	var peak uint64
+	var live, peak int64
 	for _, ev := range evs {
 		switch ev.Kind {
 		case astream.EvRead:
@@ -151,13 +183,13 @@ func liveCost(evs []astream.Event, cfg memsim.Config) (memsim.Counts, uint64, ui
 			h.Write(ev.Addr, ev.Size)
 		case astream.EvOp:
 			h.Op(ev.N)
-		case astream.EvPeak:
-			if ev.N > peak {
-				peak = ev.N
+		case evFoot:
+			if live += ev.Delta; live > peak {
+				peak = live
 			}
 		}
 	}
-	return h.Counts(), h.Cycles(), peak
+	return h.Counts(), h.Cycles(), uint64(peak)
 }
 
 // testConfigs spans the geometry axes replay must stay exact over: sizes,
@@ -184,10 +216,10 @@ func testConfigs() []memsim.Config {
 func TestReplayMatchesLive(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	evs := randEvents(rng, 50000)
-	s := record(evs)
+	sched, lanes := recordRun(evs, false)
 	for _, cfg := range testConfigs() {
 		wantCounts, wantCycles, wantPeak := liveCost(evs, cfg)
-		got, err := astream.Replay(s, cfg, nil)
+		got, err := astream.ReplayComposed(sched, lanes, cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,9 +241,9 @@ func TestReplayMatchesLive(t *testing.T) {
 func TestReplayMultiMatchesSingle(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	evs := randEvents(rng, 30000)
-	s := record(evs)
+	sched, lanes := recordRun(evs, false)
 	cfgs := testConfigs()
-	multi, err := astream.ReplayMulti(s, cfgs)
+	multi, err := astream.ReplayComposedMulti(sched, lanes, cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +251,7 @@ func TestReplayMultiMatchesSingle(t *testing.T) {
 		t.Fatalf("%d costs for %d configs", len(multi), len(cfgs))
 	}
 	for k, cfg := range cfgs {
-		single, err := astream.Replay(s, cfg, nil)
+		single, err := astream.ReplayComposed(sched, lanes, cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,16 +263,21 @@ func TestReplayMultiMatchesSingle(t *testing.T) {
 
 func TestGuardedReplayAborts(t *testing.T) {
 	evs := randEvents(rand.New(rand.NewSource(3)), 40000)
-	s := record(evs)
+	sched, lanes := recordRun(evs, false)
 	cfg := memsim.DefaultConfig()
-	full, err := astream.Replay(s, cfg, nil)
+	full, err := astream.ReplayComposed(sched, lanes, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	limit := full.Cycles / 4
 	calls := 0
-	got, err := astream.Replay(s, cfg, func(c astream.Cost) bool {
+	got, err := astream.ReplayComposed(sched, lanes, cfg, func(c astream.Cost) bool {
 		calls++
+		// A whole-run replay knows its footprint peak up front, so
+		// every snapshot carries the exact final one.
+		if c.Peak != full.Peak {
+			t.Errorf("guard snapshot peak %d, want the final %d", c.Peak, full.Peak)
+		}
 		return c.Cycles > limit
 	})
 	if err != nil {
@@ -256,7 +293,7 @@ func TestGuardedReplayAborts(t *testing.T) {
 		t.Fatalf("aborted replay ran to completion: %d >= %d cycles", got.Cycles, full.Cycles)
 	}
 	// A guard that never fires must not change the outcome.
-	unguarded, err := astream.Replay(s, cfg, func(astream.Cost) bool { return false })
+	unguarded, err := astream.ReplayComposed(sched, lanes, cfg, func(astream.Cost) bool { return false })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,24 +303,26 @@ func TestGuardedReplayAborts(t *testing.T) {
 }
 
 func TestPartialStreamRefused(t *testing.T) {
-	rec := astream.NewRecorder()
-	rec.RecordAccess(false, 0x1000, 4, 0)
-	s := rec.Finish(true)
-	if !s.Partial {
-		t.Fatal("Finish(true) did not mark stream partial")
+	evs := []astream.Event{{Kind: astream.EvRead, Addr: 0x1000, Size: 4}}
+	sched, lanes := recordRun(evs, true)
+	if !lanes[0].Partial {
+		t.Fatal("Finish(true) did not mark the lane partial")
 	}
-	if _, err := astream.Replay(s, memsim.DefaultConfig(), nil); err == nil {
-		t.Fatal("Replay accepted a partial stream")
+	if _, err := astream.ReplayComposed(sched, lanes, memsim.DefaultConfig(), nil); err == nil {
+		t.Fatal("ReplayComposed accepted a partial lane")
 	}
-	if _, err := astream.ReplayMulti(s, []memsim.Config{memsim.DefaultConfig()}); err == nil {
-		t.Fatal("ReplayMulti accepted a partial stream")
+	if _, err := astream.ReplayComposedMulti(sched, lanes, []memsim.Config{memsim.DefaultConfig()}); err == nil {
+		t.Fatal("ReplayComposedMulti accepted a partial lane")
+	}
+	if _, err := lanes[0].Unpack(); err == nil {
+		t.Fatal("Unpack accepted a partial lane")
 	}
 }
 
 func TestCorruptStreamErrors(t *testing.T) {
-	s := record(randEvents(rand.New(rand.NewSource(5)), 100))
-	s.Chunks[0][0] = 0x7F // unknown tag (not an access, not op/peak)
-	if _, err := astream.Replay(s, memsim.DefaultConfig(), nil); err == nil {
+	sched, lanes := recordRun(randEvents(rand.New(rand.NewSource(5)), 100), false)
+	lanes[0].Chunks[0][0] = 0x7F // unknown tag (not an access, op or segment end)
+	if _, err := astream.ReplayComposed(sched, lanes, memsim.DefaultConfig(), nil); err == nil {
 		t.Fatal("corrupt stream replayed without error")
 	}
 }

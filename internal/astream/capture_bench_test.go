@@ -12,8 +12,8 @@ import (
 )
 
 // The capture/replay cost model on a real workload: one Route execution
-// recorded once, then evaluated under other platform configurations by
-// replay. The interesting ratios are capture overhead vs a plain live
+// recorded once as a whole-run (one-lane) capture, then evaluated under
+// other platform configurations by replay. The interesting ratios are capture overhead vs a plain live
 // run, single replay vs live, and the marginal cost of each extra
 // configuration in a multi-config pass.
 
@@ -37,14 +37,13 @@ func runRoute(b *testing.B, p *platform.Platform, tr *trace.Trace) {
 	}
 }
 
-func captureRoute(b *testing.B, tr *trace.Trace) *astream.Stream {
+func captureRoute(b *testing.B, tr *trace.Trace) (*astream.Schedule, []*astream.SubStream) {
 	b.Helper()
 	p := platform.New(memsim.DefaultConfig())
-	rec := astream.NewRecorder()
-	p.Capture(rec)
+	cr := p.CaptureRun()
 	runRoute(b, p, tr)
 	p.EndCapture()
-	return rec.Finish(false)
+	return cr.Finish(false)
 }
 
 func sweepConfigs() []memsim.Config {
@@ -69,17 +68,17 @@ func BenchmarkCaptureRoute(b *testing.B) {
 	b.Run("capture", func(b *testing.B) {
 		var bytes, events int64
 		for i := 0; i < b.N; i++ {
-			s := captureRoute(b, tr)
-			bytes, events = int64(s.SizeBytes()), int64(s.NumEvents)
+			_, lanes := captureRoute(b, tr)
+			bytes, events = int64(lanes[0].SizeBytes()), int64(lanes[0].NumEvents)
 		}
 		b.ReportMetric(float64(bytes), "stream-B")
 		b.ReportMetric(float64(events), "events")
 	})
-	s := captureRoute(b, tr)
+	sched, lanes := captureRoute(b, tr)
 	b.Run("replay-1", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := astream.Replay(s, memsim.DefaultConfig(), nil); err != nil {
+			if _, err := astream.ReplayComposed(sched, lanes, memsim.DefaultConfig(), nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -88,7 +87,7 @@ func BenchmarkCaptureRoute(b *testing.B) {
 	b.Run("replay-multi-4", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := astream.ReplayMulti(s, cfgs); err != nil {
+			if _, err := astream.ReplayComposedMulti(sched, lanes, cfgs); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -102,8 +101,7 @@ func BenchmarkCaptureRoute(b *testing.B) {
 // geometry-matched simulator Reset instead of rebuilt.
 func TestReplaySteadyStateAllocs(t *testing.T) {
 	p := platform.New(memsim.DefaultConfig())
-	rec := astream.NewRecorder()
-	p.Capture(rec)
+	cr := p.CaptureRun()
 	a := route.App{}
 	tr, err := trace.Builtin(a.TraceNames()[0], 200)
 	if err != nil {
@@ -113,20 +111,20 @@ func TestReplaySteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.EndCapture()
-	s := rec.Finish(false)
+	sched, lanes := cr.Finish(false)
 
 	cfg := memsim.DefaultConfig()
-	if _, err := astream.Replay(s, cfg, nil); err != nil {
+	if _, err := astream.ReplayComposed(sched, lanes, cfg, nil); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := astream.Replay(s, cfg, nil); err != nil {
+		if _, err := astream.ReplayComposed(sched, lanes, cfg, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
 	// The pool is shared across goroutines, so tolerate a stray refill;
 	// steady state is zero.
 	if allocs > 2 {
-		t.Errorf("steady-state Replay allocates %.1f objects/op, want ~0", allocs)
+		t.Errorf("steady-state ReplayComposed allocates %.1f objects/op, want ~0", allocs)
 	}
 }

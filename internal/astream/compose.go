@@ -32,11 +32,15 @@ import (
 // bit-exactly: while one lane's segment runs, every other lane's live
 // bytes are constant, so the global high-water mark is the maximum over
 // segments of (total live at segment start + segment max-delta).
+//
+// A whole-run capture is the same machinery with zero roles: one lane,
+// metered by the whole heap, whose only segment spans the run. Its
+// replay is a composed replay of a one-token schedule.
 
 // SubStream is one lane's segmented access sub-stream, captured for one
-// (role, kind) pair. The embedded Stream holds the event chunks (with
-// tagSeg segment terminators); Peak is meaningless here — footprint
-// travels in the segment deltas instead.
+// (role, kind) pair — or, for a whole-run capture, the run's single
+// lane. The embedded Stream holds the event chunks (with tagSeg segment
+// terminators); footprint travels in the segment deltas.
 type SubStream struct {
 	Stream
 	// Role is the container role this lane captures ("" for the ambient
@@ -79,11 +83,11 @@ type LaneMeter interface {
 // implements memsim.BoundarySink: every event routes to the sub-stream
 // of the lane the most recent boundary announced, and each boundary
 // seals the previous lane's segment with its arena's footprint deltas.
-// Like Recorder it is single-simulation, single-goroutine state; call
-// Finish exactly once.
+// It is single-simulation, single-goroutine state; call Finish exactly
+// once.
 type ComposedRecorder struct {
 	roles  []string
-	lanes  []*Recorder
+	lanes  []*laneRecorder
 	meters []LaneMeter
 	tokens []byte
 	cur    int
@@ -92,18 +96,20 @@ type ComposedRecorder struct {
 // NewComposedRecorder returns a composed recorder for the given role
 // order. meters must hold one LaneMeter per lane: meters[0] for the
 // ambient (default-arena) lane, meters[i+1] for roles[i]. The ambient
-// prelude segment is open on return.
+// prelude segment is open on return. With zero roles the recorder
+// captures the whole run as one lane and one segment: every boundary is
+// a no-op, and meters[0] must meter every allocation of the run.
 func NewComposedRecorder(roles []string, meters []LaneMeter) *ComposedRecorder {
 	if len(meters) != len(roles)+1 {
 		panic(fmt.Sprintf("astream: %d roles need %d lane meters, got %d", len(roles), len(roles)+1, len(meters)))
 	}
 	c := &ComposedRecorder{
 		roles:  append([]string(nil), roles...),
-		lanes:  make([]*Recorder, len(meters)),
+		lanes:  make([]*laneRecorder, len(meters)),
 		meters: meters,
 	}
 	for i := range c.lanes {
-		c.lanes[i] = NewRecorder()
+		c.lanes[i] = newRecorder()
 	}
 	c.meters[0].BeginSegment()
 	c.tokens = append(c.tokens, 0)
@@ -121,6 +127,9 @@ func (c *ComposedRecorder) RecordOps(n uint64) { c.lanes[c.cur].RecordOps(n) }
 // RecordBoundary seals the current lane's segment and opens one for lane
 // (memsim.BoundarySink).
 func (c *ComposedRecorder) RecordBoundary(lane int) {
+	if len(c.lanes) == 1 {
+		return // one lane: the whole run is a single segment
+	}
 	maxD, endD := c.meters[c.cur].SegmentStats()
 	c.lanes[c.cur].recordSeg(maxD, endD)
 	c.cur = lane
@@ -142,7 +151,7 @@ func (c *ComposedRecorder) Finish(partial bool) (*Schedule, []*SubStream) {
 		if i > 0 {
 			role = c.roles[i-1]
 		}
-		subs[i] = &SubStream{Stream: *r.Finish(partial), Role: role, Lane: i, Segments: segs}
+		subs[i] = &SubStream{Stream: *r.finish(partial), Role: role, Lane: i, Segments: segs}
 	}
 	sched := &Schedule{Tokens: c.tokens, Roles: c.roles}
 	c.lanes, c.meters, c.tokens = nil, nil, nil
@@ -253,14 +262,6 @@ func (d *decoder) decodeSeg(b *batch) (done bool, maxDelta uint64, endDelta int6
 				d.lastAddr = lastAddr
 				b.nAcc = n
 				return true, maxD, unzigzag64(endU), nil
-			} else if tag == tagPeak {
-				// Sub-streams carry footprint in segment deltas; tolerate
-				// (and skip) a stray peak event.
-				var u uint64
-				if u, pos = uvarintAt(buf, pos); pos < 0 {
-					return false, 0, 0, d.corrupt()
-				}
-				d.lastPeak += u
 			} else {
 				return false, 0, 0, fmt.Errorf("astream: unknown event tag %d in chunk %d", tag, d.ci-1)
 			}
@@ -361,7 +362,7 @@ func (s *SubStream) Unpack() (*UnpackedLane, error) {
 // varint decoding remains on this path — each scheduled segment probes
 // its slice of the lane's address array and adds precomputed aggregates.
 // Configurations sharing an L1 line size collapse into one all-geometry
-// probe pass (memsim.GeomSim), as in ReplayMulti. guard (single-
+// probe pass (memsim.GeomSim), as in ReplayComposedMulti. guard (single-
 // configuration only) is polled about once per batchEvents probed
 // accesses.
 func ReplayComposedUnpacked(sched *Schedule, lanes []*UnpackedLane, cfgs []memsim.Config, guard GuardFunc) ([]Cost, error) {
@@ -370,8 +371,8 @@ func ReplayComposedUnpacked(sched *Schedule, lanes []*UnpackedLane, cfgs []memsi
 }
 
 // ReplayComposedUnpackedProfiled is ReplayComposedUnpacked plus the
-// reuse profiles of the pass, one per geometry family — the composed
-// counterpart of ReplayMultiProfiled.
+// reuse profiles of the pass, one per geometry family — the unpacked
+// counterpart of ReplayComposedMultiProfiled.
 func ReplayComposedUnpackedProfiled(sched *Schedule, lanes []*UnpackedLane, cfgs []memsim.Config) ([]Cost, []*memsim.ReuseProfile, error) {
 	return replayComposedUnpacked(sched, lanes, cfgs, nil, true, 0)
 }
@@ -539,6 +540,29 @@ func replayComposedUnpacked(sched *Schedule, lanes []*UnpackedLane, cfgs []memsi
 	return out, plan.profiles(inv, peak), nil
 }
 
+// wholeRunPeak returns the footprint peak of a one-segment lane (a
+// whole-run capture): the max-delta of its segment end, which the
+// recorder writes last, into the final chunk. Chunks start on event
+// boundaries, so only that chunk is walked.
+func wholeRunPeak(s *SubStream) (uint64, error) {
+	if s.Segments != 1 || len(s.Chunks) == 0 {
+		return 0, errSegMismatch
+	}
+	var peak uint64
+	seen := false
+	last := Stream{Chunks: s.Chunks[len(s.Chunks)-1:]}
+	err := last.ForEach(func(e Event) bool {
+		if e.Kind == EvSeg {
+			peak, seen = e.N, true
+		}
+		return true
+	})
+	if err == nil && !seen {
+		err = errSegMismatch
+	}
+	return peak, err
+}
+
 // ComposedPeak reconstructs the EXACT footprint peak of one DDT
 // combination from its schedule and pre-decoded lanes alone — the same
 // segment-delta walk a composed replay performs, with no probe kernel
@@ -580,29 +604,54 @@ func ComposedPeak(sched *Schedule, lanes []*UnpackedLane) (uint64, error) {
 // ReplayComposed evaluates one DDT combination under cfg by merging the
 // K+1 lane decoders into a single probe stream in schedule order —
 // without materializing the combination's flat encoding — and driving
-// the same LineSim kernel a flat replay uses. lanes[i] must be the
-// sub-stream for lane i: lanes[0] ambient, lanes[i] the sub-stream
-// captured for (sched.Roles[i-1], chosen kind). The result is exactly
-// what an arena-mode live simulation of that combination would produce.
-// guard, when non-nil, is polled once per batch as in Replay.
+// a dedicated LineSim kernel. lanes[i] must be the sub-stream for lane
+// i: lanes[0] ambient, lanes[i] the sub-stream captured for
+// (sched.Roles[i-1], chosen kind). The result is exactly what a live
+// simulation of that combination would produce (in the address model
+// the lanes were captured under). guard, when non-nil, is polled once
+// per decoded batch with the partial cost; a true result stops the
+// replay and returns the partial Cost with Aborted set.
 func ReplayComposed(sched *Schedule, lanes []*SubStream, cfg memsim.Config, guard GuardFunc) (Cost, error) {
-	costs, err := replayComposed(sched, lanes, []memsim.Config{cfg}, guard)
-	if err != nil {
+	var out [1]Cost
+	if _, err := replayComposed(sched, lanes, []memsim.Config{cfg}, guard, false, out[:]); err != nil {
 		return Cost{}, err
 	}
-	return costs[0], nil
+	return out[0], nil
 }
 
 // ReplayComposedMulti evaluates one DDT combination under K platform
 // configurations in a single merged pass: the lanes are decoded and
 // interleaved once, and same-line-size configuration families collapse
-// into one all-geometry probe of the shared batches — the composed
-// counterpart of ReplayMulti.
+// into one all-geometry probe of the shared batches (memsim.GeomSim);
+// configurations that cannot join a family keep a dedicated LineSim over
+// the same batches.
 func ReplayComposedMulti(sched *Schedule, lanes []*SubStream, cfgs []memsim.Config) ([]Cost, error) {
-	return replayComposed(sched, lanes, cfgs, nil)
+	out := make([]Cost, len(cfgs))
+	if _, err := replayComposed(sched, lanes, cfgs, nil, false, out); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
-func replayComposed(sched *Schedule, lanes []*SubStream, cfgs []memsim.Config, guard GuardFunc) ([]Cost, error) {
+// ReplayComposedMultiProfiled is ReplayComposedMulti plus the reuse
+// profiles of the pass: one memsim.ReuseProfile per geometry family
+// (identified by its LineBytes), each answering any configuration in its
+// covered cross product by pure arithmetic afterwards. The exploration
+// cache persists them so warm platform sweeps need zero probe passes.
+func ReplayComposedMultiProfiled(sched *Schedule, lanes []*SubStream, cfgs []memsim.Config) ([]Cost, []*memsim.ReuseProfile, error) {
+	out := make([]Cost, len(cfgs))
+	profs, err := replayComposed(sched, lanes, cfgs, nil, true, out)
+	if err != nil {
+		return nil, nil, err
+	}
+	return out, profs, nil
+}
+
+// replayComposed is the streaming composed replay behind the exported
+// entry points: it writes one Cost per configuration into out (just the
+// guard's snapshot, Aborted set, when the guard stops it) and returns
+// the pass's reuse profiles when profiled is set.
+func replayComposed(sched *Schedule, lanes []*SubStream, cfgs []memsim.Config, guard GuardFunc, profiled bool, out []Cost) ([]*memsim.ReuseProfile, error) {
 	if len(lanes) != len(sched.Roles)+1 {
 		return nil, fmt.Errorf("astream: schedule names %d roles but %d lanes supplied", len(sched.Roles), len(lanes))
 	}
@@ -620,7 +669,7 @@ func replayComposed(sched *Schedule, lanes []*SubStream, cfgs []memsim.Config, g
 
 	sc := getScratch()
 	defer putScratch(sc)
-	plan := sc.planFor(cfgs, false, 0)
+	plan := sc.planFor(cfgs, profiled, 0)
 	ds := sc.decodersFor(len(lanes))
 	for i, ls := range lanes {
 		ds[i] = decoder{chunks: ls.Chunks}
@@ -631,7 +680,17 @@ func replayComposed(sched *Schedule, lanes []*SubStream, cfgs []memsim.Config, g
 		inv       memsim.Counts
 		totalLive uint64
 		peak      uint64
+		// finalPeak lets a guarded whole-run replay poll with its exact
+		// footprint from the first batch: a one-segment walk only learns
+		// the peak at its end, and a zero footprint is never dominated.
+		finalPeak uint64
 	)
+	if guard != nil && len(sched.Tokens) == 1 && int(sched.Tokens[0]) < len(lanes) {
+		var err error
+		if finalPeak, err = wholeRunPeak(lanes[sched.Tokens[0]]); err != nil {
+			return nil, err
+		}
+	}
 	b.nAcc, b.readWords, b.writeWords, b.opCycles = 0, 0, 0, 0
 	flush := func() {
 		inv.ReadWords += b.readWords
@@ -662,13 +721,18 @@ func replayComposed(sched *Schedule, lanes []*SubStream, cfgs []memsim.Config, g
 			if guard != nil {
 				// A guarded replay has exactly one configuration, which a
 				// non-profiled plan always serves with a dedicated LineSim.
-				if snap := costOf(cfgs[0], plan.sims[0], inv, peak); guard(snap) {
+				if snap := costOf(cfgs[0], plan.sims[0], inv, max(peak, finalPeak)); guard(snap) {
 					snap.Aborted = true
-					return []Cost{snap}, nil
+					out[0] = snap
+					return nil, nil
 				}
 			}
 		}
 	}
 	flush()
-	return plan.costs(inv, peak), nil
+	plan.costsInto(out, inv, peak)
+	if !profiled {
+		return nil, nil
+	}
+	return plan.profiles(inv, peak), nil
 }

@@ -13,7 +13,7 @@ import (
 )
 
 // The replay-equivalence property: for random DDT operation sequences,
-// replaying a captured access stream reproduces the live memsim.Counts,
+// replaying a whole-run capture (a one-lane composed stream) reproduces the live memsim.Counts,
 // cycles and energy EXACTLY — bitwise — for every platform in
 // sweep.DefaultPlatforms(). This is the theorem the whole capture-once /
 // replay-many design rests on, checked across all ten container kinds,
@@ -58,19 +58,24 @@ func ddtOps(p *platform.Platform, kind ddt.Kind, seed int64, n int) {
 	}
 }
 
+// captureDDT records ddtOps on a fresh default platform as a whole-run
+// capture: the one-token schedule and the run's single lane.
+func captureDDT(kind ddt.Kind, seed int64, n int) (*astream.Schedule, []*astream.SubStream) {
+	p := platform.New(memsim.DefaultConfig())
+	cr := p.CaptureRun()
+	ddtOps(p, kind, seed, n)
+	p.EndCapture()
+	return cr.Finish(false)
+}
+
 func TestReplayEquivalenceDDTSweepPlatforms(t *testing.T) {
 	platforms := sweep.DefaultPlatforms()
 	for _, kind := range ddt.AllKinds() {
 		for seed := int64(1); seed <= 3; seed++ {
 			// Capture once, on the default platform.
-			pc := platform.New(memsim.DefaultConfig())
-			rec := astream.NewRecorder()
-			pc.Capture(rec)
-			ddtOps(pc, kind, seed, 400)
-			pc.EndCapture()
-			st := rec.Finish(false)
-			if st.Partial || st.NumEvents == 0 {
-				t.Fatalf("%v seed %d: bad stream %v", kind, seed, st)
+			sched, lanes := captureDDT(kind, seed, 400)
+			if st := lanes[0]; st.Partial || st.NumEvents == 0 || st.Segments != 1 {
+				t.Fatalf("%v seed %d: bad whole-run lane %v", kind, seed, st)
 			}
 
 			for _, pp := range platforms {
@@ -80,7 +85,7 @@ func TestReplayEquivalenceDDTSweepPlatforms(t *testing.T) {
 				wantCounts, wantCycles := live.Mem.Counts(), live.Mem.Cycles()
 				wantVec := live.Metrics()
 
-				got, err := astream.Replay(st, pp.Config, nil)
+				got, err := astream.ReplayComposed(sched, lanes, pp.Config, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -111,26 +116,22 @@ func TestReplayEquivalenceDDTSweepPlatforms(t *testing.T) {
 // TestReplayMultiEquivalenceDDT covers the one-decode/K-configs path on
 // a real DDT stream against every default platform at once.
 func TestReplayMultiEquivalenceDDT(t *testing.T) {
-	pc := platform.New(memsim.DefaultConfig())
-	rec := astream.NewRecorder()
-	pc.Capture(rec)
-	ddtOps(pc, ddt.DLLARO, 99, 1500)
-	pc.EndCapture()
-	st := rec.Finish(false)
+	sched, lanes := captureDDT(ddt.DLLARO, 99, 1500)
 
 	platforms := sweep.DefaultPlatforms()
 	cfgs := make([]memsim.Config, len(platforms))
 	for i, pp := range platforms {
 		cfgs[i] = pp.Config
 	}
-	multi, err := astream.ReplayMulti(st, cfgs)
+	multi, err := astream.ReplayComposedMulti(sched, lanes, cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, pp := range platforms {
 		live := platform.New(pp.Config)
 		ddtOps(live, ddt.DLLARO, 99, 1500)
-		if multi[i].Counts != live.Mem.Counts() || multi[i].Cycles != live.Mem.Cycles() {
+		if multi[i].Counts != live.Mem.Counts() || multi[i].Cycles != live.Mem.Cycles() ||
+			multi[i].Peak != live.Heap.PeakLiveBytes() {
 			t.Errorf("%s: multi-replay diverged from live", pp.Name)
 		}
 	}
@@ -143,10 +144,10 @@ func TestCaptureDoesNotPerturb(t *testing.T) {
 	ddtOps(bare, ddt.SLLAR, 7, 800)
 
 	cap := platform.New(memsim.DefaultConfig())
-	rec := astream.NewRecorder()
-	cap.Capture(rec)
+	cr := cap.CaptureRun()
 	ddtOps(cap, ddt.SLLAR, 7, 800)
 	cap.EndCapture()
+	cr.Finish(false)
 
 	if bare.Mem.Counts() != cap.Mem.Counts() || bare.Mem.Cycles() != cap.Mem.Cycles() {
 		t.Fatal("capture perturbed the live simulation accounting")

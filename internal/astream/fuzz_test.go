@@ -8,13 +8,14 @@ import (
 	"repro/internal/memsim"
 )
 
-// FuzzRecorderRoundTrip drives the stream encoder with an arbitrary
-// event script and checks the decode side reproduces it exactly: the
-// decoded access/op/peak sequence must match what was recorded, and a
-// replay's invariant counters must agree with the decoded totals. The
+// FuzzRecorderRoundTrip drives a whole-run (zero-role) capture with an
+// arbitrary event script and checks the decode side reproduces it
+// exactly: the decoded access/op sequence, closed by the run's single
+// segment end, must match what was recorded, and a replay's invariant
+// counters and footprint peak must agree with the recorded totals. The
 // script bytes steer address deltas across all four width tags, event
 // counts across chunk boundaries, sizes on and off the compact 4-byte
-// form, and op coalescing.
+// form, op coalescing and footprint growth and release.
 func FuzzRecorderRoundTrip(f *testing.F) {
 	f.Add([]byte{}, false)
 	f.Add([]byte{0x01, 0xff, 0x00, 0x80, 0x7f, 0x03, 0x20}, false)
@@ -28,15 +29,17 @@ func FuzzRecorderRoundTrip(f *testing.F) {
 	f.Add(bytesRepeat([]byte{0x40, 0x10, 0x20, 0x00, 0x00, 0x08, 0x05}, 64), false)
 	f.Fuzz(func(t *testing.T, script []byte, partial bool) {
 		type ev struct {
-			kind astream.EventKind
-			addr uint32
-			size uint32
-			n    uint64
+			kind  astream.EventKind
+			addr  uint32
+			size  uint32
+			n     uint64
+			delta int64
 		}
 		var want []ev
 		var wantReads, wantWrites, wantOps uint64
 
-		rec := astream.NewRecorder()
+		m := &footMeter{}
+		rec := astream.NewComposedRecorder(nil, []astream.LaneMeter{m})
 		var addr uint32 = 0x1000_0000
 		var peak uint64
 		var pendingOps uint64
@@ -73,29 +76,33 @@ func FuzzRecorderRoundTrip(f *testing.F) {
 			case 2: // standalone ops
 				rec.RecordOps(ops)
 				pendingOps += ops
-			case 3: // footprint peak growth
-				peak += uint64(delta)%4096 + 1
-				rec.RecordPeak(peak)
-				if pendingOps != 0 {
-					want = append(want, ev{kind: astream.EvOp, n: pendingOps})
-					wantOps += pendingOps
-					pendingOps = 0
+			case 3: // footprint change at an operation boundary: grow, or free when odd
+				d := int64(delta%4096) + 1
+				if delta&1 != 0 && m.live >= uint64(d) {
+					d = -d
 				}
-				want = append(want, ev{kind: astream.EvPeak, n: peak})
+				m.add(d)
+				peak = max(peak, m.live)
+				rec.RecordBoundary(0)
 			}
 		}
 		if pendingOps != 0 {
 			want = append(want, ev{kind: astream.EvOp, n: pendingOps})
 			wantOps += pendingOps
 		}
-		st := rec.Finish(partial)
+		want = append(want, ev{kind: astream.EvSeg, n: peak, delta: int64(m.live)})
+		sched, lanes := rec.Finish(partial)
+		st := lanes[0]
+		if len(sched.Tokens) != 1 || st.Segments != 1 {
+			t.Fatalf("whole-run capture has %d tokens, %d segments; want 1, 1", len(sched.Tokens), st.Segments)
+		}
 		if st.Partial != partial {
 			t.Fatalf("partial flag lost")
 		}
 
 		var got []ev
 		if err := st.ForEach(func(e astream.Event) bool {
-			got = append(got, ev{kind: e.Kind, addr: e.Addr, size: e.Size, n: e.N})
+			got = append(got, ev{kind: e.Kind, addr: e.Addr, size: e.Size, n: e.N, delta: e.Delta})
 			return true
 		}); err != nil {
 			t.Fatalf("decode of recorded stream failed: %v", err)
@@ -112,7 +119,7 @@ func FuzzRecorderRoundTrip(f *testing.F) {
 		if partial {
 			return // partial streams must refuse to replay
 		}
-		cost, err := astream.Replay(st, memsim.DefaultConfig(), nil)
+		cost, err := astream.ReplayComposed(sched, lanes, memsim.DefaultConfig(), nil)
 		if err != nil {
 			t.Fatalf("replay of recorded stream failed: %v", err)
 		}
@@ -129,10 +136,11 @@ func FuzzRecorderRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzStreamDecodeArbitrary feeds arbitrary bytes to the decoders as an
-// encoded chunk: they must either decode it or reject it with an error —
-// never panic, and the batched replay decoder must agree with ForEach on
-// acceptance.
+// FuzzStreamDecodeArbitrary feeds arbitrary bytes to the decoders as the
+// encoded chunk of a whole-run lane: they must either decode it or
+// reject it with an error — never panic, and the batched replay decoder
+// must agree with ForEach on acceptance of the run's single segment (the
+// events up to and including the first segment end).
 func FuzzStreamDecodeArbitrary(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x80, 0x01, 0x02})
@@ -140,13 +148,13 @@ func FuzzStreamDecodeArbitrary(f *testing.F) {
 	f.Add([]byte{0x03, 0x05, 0x06})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, chunk []byte) {
-		st := &astream.Stream{Chunks: [][]byte{chunk}}
-		hasSeg := false
+		lane := &astream.SubStream{Stream: astream.Stream{Chunks: [][]byte{chunk}}, Segments: 1}
+		sawSeg := false
 		var words uint64
-		forEachErr := st.ForEach(func(e astream.Event) bool {
-			hasSeg = hasSeg || e.Kind == astream.EvSeg
+		forEachErr := lane.ForEach(func(e astream.Event) bool {
 			words += uint64((e.Size + 3) / 4)
-			return true
+			sawSeg = e.Kind == astream.EvSeg
+			return !sawSeg
 		})
 		// Arbitrary bytes can encode a single multi-hundred-MB access
 		// whose line walk is legal but takes minutes; a real recorder
@@ -154,11 +162,12 @@ func FuzzStreamDecodeArbitrary(f *testing.F) {
 		if words > 1<<22 {
 			return
 		}
-		_, replayErr := astream.Replay(st, memsim.DefaultConfig(), nil)
-		// A chunk with segment events is valid for ForEach but the flat
-		// replay decoder rejects tagSeg; everything else must agree.
-		if (forEachErr == nil) != (replayErr == nil) && !hasSeg {
-			t.Fatalf("decoders disagree: ForEach err=%v, Replay err=%v", forEachErr, replayErr)
+		sched := &astream.Schedule{Tokens: []byte{0}}
+		_, replayErr := astream.ReplayComposed(sched, []*astream.SubStream{lane}, memsim.DefaultConfig(), nil)
+		// The replay needs the segment end; ForEach accepts a stream
+		// that simply stops.
+		if (forEachErr == nil && sawSeg) != (replayErr == nil) {
+			t.Fatalf("decoders disagree: ForEach err=%v (segment end seen: %v), replay err=%v", forEachErr, sawSeg, replayErr)
 		}
 	})
 }

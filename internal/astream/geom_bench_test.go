@@ -18,7 +18,7 @@ import (
 // All four arms produce bit-identical costs (asserted every iteration).
 func BenchmarkGeomSweep(b *testing.B) {
 	tr := routeTrace(b)
-	s := captureRoute(b, tr)
+	sched, lanes := captureRoute(b, tr)
 	cfgs := geomBenchFamily()
 
 	for i := 0; i < b.N; i++ {
@@ -31,7 +31,7 @@ func BenchmarkGeomSweep(b *testing.B) {
 		for rep := 0; rep < 3; rep++ {
 			astream.ForceLineSimReplay(true)
 			t0 := time.Now()
-			want, err = astream.ReplayMulti(s, cfgs)
+			want, err = astream.ReplayComposedMulti(sched, lanes, cfgs)
 			astream.ForceLineSimReplay(false)
 			if err != nil {
 				b.Fatal(err)
@@ -41,7 +41,7 @@ func BenchmarkGeomSweep(b *testing.B) {
 			}
 
 			t1 := time.Now()
-			got, err = astream.ReplayMulti(s, cfgs)
+			got, err = astream.ReplayComposedMulti(sched, lanes, cfgs)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -50,7 +50,7 @@ func BenchmarkGeomSweep(b *testing.B) {
 			}
 
 			t2 := time.Now()
-			got2, ps, err := astream.ReplayMultiProfiled(s, cfgs)
+			got2, ps, err := astream.ReplayComposedMultiProfiled(sched, lanes, cfgs)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -6,7 +6,6 @@ import (
 	"repro/internal/astream"
 	"repro/internal/ddt"
 	"repro/internal/memsim"
-	"repro/internal/platform"
 )
 
 // The all-geometry replay property: routing a multi-configuration
@@ -41,20 +40,15 @@ func geomSweepConfigs() []memsim.Config {
 }
 
 func TestGeomReplayMultiEquivalence(t *testing.T) {
-	pc := platform.New(memsim.DefaultConfig())
-	rec := astream.NewRecorder()
-	pc.Capture(rec)
-	ddtOps(pc, ddt.SLLAR, 21, 1500)
-	pc.EndCapture()
-	st := rec.Finish(false)
+	sched, lanes := captureDDT(ddt.SLLAR, 21, 1500)
 
 	cfgs := geomSweepConfigs()
-	multi, profs, err := astream.ReplayMultiProfiled(st, cfgs)
+	multi, profs, err := astream.ReplayComposedMultiProfiled(sched, lanes, cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for k, cfg := range cfgs {
-		want, err := astream.Replay(st, cfg, nil)
+		want, err := astream.ReplayComposed(sched, lanes, cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,7 +81,7 @@ func TestGeomReplayMultiEquivalence(t *testing.T) {
 	// count) is served by the profile, exactly.
 	novel := cfgs[1]
 	novel.L2.SizeBytes, novel.L2.Assoc = 16<<10, 2
-	want, err := astream.Replay(st, novel, nil)
+	want, err := astream.ReplayComposed(sched, lanes, novel, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,19 +151,14 @@ func TestGeomComposedMultiEquivalence(t *testing.T) {
 // (Reset, not rebuild) and allocate only the small fixed plan/result
 // slices — no tag stores, no histograms, no batch arrays.
 func TestGeomReplayMultiSteadyStateAllocs(t *testing.T) {
-	pc := platform.New(memsim.DefaultConfig())
-	rec := astream.NewRecorder()
-	pc.Capture(rec)
-	ddtOps(pc, ddt.AR, 5, 400)
-	pc.EndCapture()
-	st := rec.Finish(false)
+	sched, lanes := captureDDT(ddt.AR, 5, 400)
 
 	cfgs := geomSweepConfigs()[:8] // the pure same-line-size family
-	if _, err := astream.ReplayMulti(st, cfgs); err != nil {
+	if _, err := astream.ReplayComposedMulti(sched, lanes, cfgs); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := astream.ReplayMulti(st, cfgs); err != nil {
+		if _, err := astream.ReplayComposedMulti(sched, lanes, cfgs); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -179,6 +168,6 @@ func TestGeomReplayMultiSteadyStateAllocs(t *testing.T) {
 	// stream length and geometry sizes. A kernel rebuild instead of a
 	// Reset costs 80+ allocations, which is what this guards.
 	if allocs > 40 {
-		t.Errorf("steady-state geom ReplayMulti allocates %.1f objects/op, want <= 40", allocs)
+		t.Errorf("steady-state geom ReplayComposedMulti allocates %.1f objects/op, want <= 40", allocs)
 	}
 }

@@ -7,9 +7,9 @@ import (
 	"repro/internal/memsim"
 )
 
-// ErrPartial is returned when a partial (aborted-capture) stream is asked
-// to replay: the recorded prefix proves nothing about the full run, so
-// replaying it across configurations would poison results.
+// ErrPartial is returned when a partial (aborted-capture) sub-stream is
+// asked to replay: the recorded prefix proves nothing about the full
+// run, so replaying it across configurations would poison results.
 var ErrPartial = errors.New("astream: stream is partial (aborted capture); refusing to replay")
 
 // Cost is the outcome of replaying a stream against one platform
@@ -28,8 +28,9 @@ type Cost struct {
 
 // GuardFunc is polled during a guarded replay with a running lower
 // bound on the replay's final cost; returning true stops the replay
-// (the Cost comes back Aborted). Flat replays poll the bare partial
-// cost; the unpacked composed replay polls the tighter completion
+// (the Cost comes back Aborted). The streaming composed replay polls
+// the partial cost (with the exact footprint peak for a whole-run
+// capture); the unpacked composed replay polls the tighter completion
 // bound (exact final invariants plus remaining accesses taken as L1
 // hits). Either way every component only grows from poll to poll and
 // never exceeds the exact final cost, so the same dominance arguments
@@ -62,6 +63,7 @@ type scratch struct {
 	geos    []*memsim.GeomSim
 	ds      []decoder
 	cursors []int
+	one     [1]*memsim.LineSim // the lone LineSim of a single-configuration plan
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -135,46 +137,6 @@ func (s *scratch) cursorsFor(n int) []int {
 	return s.cursors
 }
 
-// Replay evaluates the stream under cfg without re-running the
-// application: one decode pass drives the configuration's cache model
-// with the recorded access sequence while the platform-invariant
-// counters (word counts, ALU cycles, footprint) are reconstructed
-// arithmetically. guard, when non-nil, is polled once per batch; a true
-// result stops the replay and returns the partial Cost with Aborted set.
-func Replay(s *Stream, cfg memsim.Config, guard GuardFunc) (Cost, error) {
-	if s.Partial {
-		return Cost{}, ErrPartial
-	}
-	sc := getScratch()
-	defer putScratch(sc)
-	var (
-		ls  = sc.simFor(0, cfg)
-		inv memsim.Counts
-		d   = decoder{chunks: s.Chunks}
-		b   = &sc.b
-	)
-	for {
-		more, err := d.next(b)
-		if err != nil {
-			return Cost{}, err
-		}
-		inv.ReadWords += b.readWords
-		inv.WriteWords += b.writeWords
-		inv.OpCycles += b.opCycles
-		ls.ProbeAccesses(b.addr[:b.nAcc], b.size[:b.nAcc])
-		if !more {
-			break
-		}
-		if guard != nil {
-			if snap := costOf(cfg, ls, inv, b.peak); guard(snap) {
-				snap.Aborted = true
-				return snap, nil
-			}
-		}
-	}
-	return costOf(cfg, ls, inv, b.peak), nil
-}
-
 // costOfGeom is costOf for a configuration served by an all-geometry
 // pass: the per-config probe outcome is derived arithmetically from the
 // kernel's depth histograms instead of read off a dedicated LineSim.
@@ -215,6 +177,9 @@ type multiPlan struct {
 	simIdx  []int // sims[j] serves cfgs[simIdx[j]]
 }
 
+// loneIdx is the simIdx of every single-configuration plan.
+var loneIdx = [1]int{0}
+
 // forceLineSim disables all-geometry routing (benchmark baseline only;
 // see export_test.go).
 var forceLineSim = false
@@ -228,6 +193,13 @@ var forceLineSim = false
 // to an exact LineSim, even under sampling — their costs simply come
 // back exact, which only tightens the caller's interval.
 func (sc *scratch) planFor(cfgs []memsim.Config, profiled bool, sampleShift uint32) multiPlan {
+	if len(cfgs) == 1 && !profiled && sampleShift == 0 {
+		// A lone exact configuration always gets a dedicated LineSim;
+		// serving it from the scratch's own array keeps a per-job
+		// replay allocation-free in steady state.
+		sc.one[0] = sc.simFor(0, cfgs[0])
+		return multiPlan{cfgs: cfgs, sims: sc.one[:], simIdx: loneIdx[:]}
+	}
 	p := multiPlan{cfgs: cfgs}
 	for _, fam := range memsim.LineFamiliesOf(cfgs) {
 		var idx []int
@@ -272,6 +244,12 @@ func (p *multiPlan) probe(addrs, sizes []uint32) {
 // pass, in the original configuration order.
 func (p *multiPlan) costs(inv memsim.Counts, peak uint64) []Cost {
 	out := make([]Cost, len(p.cfgs))
+	p.costsInto(out, inv, peak)
+	return out
+}
+
+// costsInto is costs writing into a caller-provided slice.
+func (p *multiPlan) costsInto(out []Cost, inv memsim.Counts, peak uint64) {
 	for k, gs := range p.geoms {
 		for _, i := range p.geomIdx[k] {
 			out[i] = costOfGeom(p.cfgs[i], gs, inv, peak)
@@ -280,7 +258,6 @@ func (p *multiPlan) costs(inv memsim.Counts, peak uint64) []Cost {
 	for j, i := range p.simIdx {
 		out[i] = costOf(p.cfgs[i], p.sims[j], inv, peak)
 	}
-	return out
 }
 
 // profiles snapshots every geometry family's reuse profile, completed
@@ -297,70 +274,4 @@ func (p *multiPlan) profiles(inv memsim.Counts, peak uint64) []*memsim.ReuseProf
 		out = append(out, pr)
 	}
 	return out
-}
-
-// ReplayMulti evaluates K configurations in a single pass over the
-// stream: one decode, and one all-geometry probe kernel per family of
-// configurations sharing an L1 line size (see memsim.GeomSim) — so a
-// same-line-size geometry sweep pays roughly one probe pass total
-// instead of one per configuration. Configurations that cannot join a
-// family fall back to a dedicated per-config LineSim over the same
-// decoded batches (the decode is still paid exactly once).
-func ReplayMulti(s *Stream, cfgs []memsim.Config) ([]Cost, error) {
-	costs, _, err := replayMulti(s, cfgs, false, 0)
-	return costs, err
-}
-
-// ReplayMultiProfiled is ReplayMulti plus the reuse profiles of the
-// pass: one memsim.ReuseProfile per geometry family (identified by its
-// LineBytes), each answering any configuration in its covered cross
-// product by pure arithmetic afterwards. The exploration cache persists
-// them so warm platform sweeps need zero probe passes.
-func ReplayMultiProfiled(s *Stream, cfgs []memsim.Config) ([]Cost, []*memsim.ReuseProfile, error) {
-	return replayMulti(s, cfgs, true, 0)
-}
-
-// ReplayMultiProfiledSampled is ReplayMultiProfiled at spatial sample
-// rate 2^-sampleShift: the decode still walks every event (the
-// platform-invariant aggregates stay exact) but only the hash-kept line
-// subset descends the recency stacks, so the probe cost — the dominant
-// term on long streams — drops by ~2^sampleShift. Costs and profiles
-// come back as scaled estimates with confidence intervals
-// (ReuseProfile.RelCI); shift 0 is exactly ReplayMultiProfiled.
-func ReplayMultiProfiledSampled(s *Stream, cfgs []memsim.Config, sampleShift uint32) ([]Cost, []*memsim.ReuseProfile, error) {
-	return replayMulti(s, cfgs, true, sampleShift)
-}
-
-func replayMulti(s *Stream, cfgs []memsim.Config, profiled bool, sampleShift uint32) ([]Cost, []*memsim.ReuseProfile, error) {
-	if s.Partial {
-		return nil, nil, ErrPartial
-	}
-	sc := getScratch()
-	defer putScratch(sc)
-	plan := sc.planFor(cfgs, profiled, sampleShift)
-	var (
-		inv  memsim.Counts
-		peak uint64
-		d    = decoder{chunks: s.Chunks}
-		b    = &sc.b
-	)
-	for {
-		more, err := d.next(b)
-		if err != nil {
-			return nil, nil, err
-		}
-		inv.ReadWords += b.readWords
-		inv.WriteWords += b.writeWords
-		inv.OpCycles += b.opCycles
-		peak = b.peak
-		plan.probe(b.addr[:b.nAcc], b.size[:b.nAcc])
-		if !more {
-			break
-		}
-	}
-	out := plan.costs(inv, peak)
-	if !profiled {
-		return out, nil, nil
-	}
-	return out, plan.profiles(inv, peak), nil
 }

@@ -64,22 +64,26 @@ func TestSampledReplayAllAppsWithinCI(t *testing.T) {
 			t.Fatal(err)
 		}
 		pc := platform.New(memsim.DefaultConfig())
-		rec := astream.NewRecorder()
-		pc.Capture(rec)
+		cr := pc.CaptureRun()
 		if _, err := a.Run(tr, pc, assign, a.DefaultKnobs(), nil); err != nil {
 			t.Fatal(err)
 		}
 		pc.EndCapture()
-		st := rec.Finish(false)
+		sched, subs := cr.Finish(false)
+		lane, err := subs[0].Unpack()
+		if err != nil {
+			t.Fatal(err)
+		}
+		lanes := []*astream.UnpackedLane{lane}
 
-		exact, exactProfs, err := astream.ReplayMultiProfiled(st, cfgs)
+		exact, exactProfs, err := astream.ReplayComposedUnpackedProfiled(sched, lanes, cfgs)
 		if err != nil {
 			t.Fatal(err)
 		}
 
 		// R = 1: the sampled entry point at shift 0 must be bit-identical
 		// to the exact one, profiles included.
-		zero, zeroProfs, err := astream.ReplayMultiProfiledSampled(st, cfgs, 0)
+		zero, zeroProfs, err := astream.ReplayComposedUnpackedProfiledSampled(sched, lanes, cfgs, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,7 +95,7 @@ func TestSampledReplayAllAppsWithinCI(t *testing.T) {
 		}
 
 		for _, shift := range []uint32{3, 6} { // R = 1/8, 1/64
-			costs, profs, err := astream.ReplayMultiProfiledSampled(st, cfgs, shift)
+			costs, profs, err := astream.ReplayComposedUnpackedProfiledSampled(sched, lanes, cfgs, shift)
 			if err != nil {
 				t.Fatal(err)
 			}

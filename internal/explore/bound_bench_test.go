@@ -12,118 +12,20 @@ import (
 	"repro/internal/sweep"
 )
 
-// BenchmarkBoundPrunedExploration pins the claim of LINEAR bound-guided
-// combination search on the 3-role DRR grid (10^3 = 1000 combinations):
-// summing each lane's isolated reuse-profile bound and discarding
-// combinations the live front already dominates must beat the PR-4
-// composed path — which still pays one composed probe pass per
-// combination — by >= 2x cold, with the survivor front bit-identical
-// (pinned by TestBoundPrunedDRRGrid). FlatPrune keeps both arms on the
-// linear scan; the tree search on top of this is pinned by
-// BenchmarkBranchBoundExploration.
+// BenchmarkBranchBoundExploration measures the best-first
+// branch-and-bound tree search (the BoundPrune step-1 path) on the
+// 1000-combination DRR grid and the 10^5-combination FlowMon space: how
+// long the search takes and how much of the space it cuts in bulk as
+// dominated lane-prefix subtrees, never materializing a job for them.
+// The survivor fronts are bit-identical to the exhaustive composed run
+// (pinned by TestBranchBoundK5FrontIdentity).
 //
-//   - cold: both arms start from nothing and pay their own ~10·K lane
-//     captures; the pruned arm additionally pays ~10·K isolated lane
-//     profile passes, then answers pruned combinations with pure
-//     arithmetic plus a zero-probe footprint walk.
-//   - warm-new-platform: the lanes already exist (persistent
-//     `-replay-cache` / sweep scenario) and the space is re-explored on
-//     a platform the cache has no results for. Both arms execute
-//     nothing; the pruned arm re-profiles the ~10·K lanes for the new
-//     geometry and prunes the rest.
-func BenchmarkBoundPrunedExploration(b *testing.B) {
-	const packets = 400
-	a, err := netapps.ByName("DRR")
-	if err != nil {
-		b.Fatal(err)
-	}
-	ref := explore.Config{TraceName: a.TraceNames()[0], Knobs: a.DefaultKnobs()}
-
-	run := func(b *testing.B, opts explore.Options) (time.Duration, explore.EngineStats) {
-		b.Helper()
-		eng := explore.NewEngine(a, opts)
-		t0 := time.Now()
-		s1, err := eng.Step1(context.Background(), ref)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(s1.Results) != 1000 {
-			b.Fatalf("expected 1000 combinations, got %d", len(s1.Results))
-		}
-		return time.Since(t0), eng.Stats()
-	}
-
-	b.Run("cold", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			composed, _ := run(b, explore.Options{TracePackets: packets, DominantK: 3, Compose: true})
-			pruned, st := run(b, explore.Options{TracePackets: packets, DominantK: 3, BoundPrune: true, FlatPrune: true})
-			if st.Pruned == 0 {
-				b.Fatal("bound-guided arm pruned nothing")
-			}
-			b.ReportMetric(float64(composed.Milliseconds()), "composed-ms")
-			b.ReportMetric(float64(pruned.Milliseconds()), "pruned-ms")
-			b.ReportMetric(float64(composed)/float64(pruned), "speedup-x")
-			b.ReportMetric(float64(st.Pruned)/1000, "prune-ratio")
-			b.ReportMetric(float64(st.LaneProfiles), "lane-profiles")
-		}
-	})
-
-	b.Run("warm-new-platform", func(b *testing.B) {
-		// Prior exploration (untimed) leaves the ~10·K lanes and their
-		// profiles behind; snapshot so every iteration starts from the
-		// same warm lanes with no memoized platform-B results.
-		prep := explore.NewCache()
-		warm := explore.Options{TracePackets: packets, DominantK: 3, BoundPrune: true, Cache: prep}
-		if _, err := explore.NewEngine(a, warm).Step1(context.Background(), ref); err != nil {
-			b.Fatal(err)
-		}
-		var snapshot bytes.Buffer
-		if err := prep.SaveWithStreams(&snapshot); err != nil {
-			b.Fatal(err)
-		}
-		other := sweep.DefaultPlatforms()[5].Config // midrange-32K-512K
-
-		load := func(b *testing.B) *explore.Cache {
-			b.Helper()
-			c := explore.NewCache()
-			if err := c.Load(bytes.NewReader(snapshot.Bytes())); err != nil {
-				b.Fatal(err)
-			}
-			return c
-		}
-		for i := 0; i < b.N; i++ {
-			composed, cst := run(b, explore.Options{TracePackets: packets, DominantK: 3, Compose: true,
-				Cache: load(b), Platform: &other})
-			pruned, st := run(b, explore.Options{TracePackets: packets, DominantK: 3, BoundPrune: true, FlatPrune: true,
-				Cache: load(b), Platform: &other})
-			if cst.Simulated != 0 || st.Simulated != 0 {
-				b.Fatalf("warm arms executed %d/%d simulations", cst.Simulated, st.Simulated)
-			}
-			if st.Pruned == 0 {
-				b.Fatal("warm bound-guided arm pruned nothing")
-			}
-			b.ReportMetric(float64(composed.Milliseconds()), "composed-ms")
-			b.ReportMetric(float64(pruned.Milliseconds()), "pruned-ms")
-			b.ReportMetric(float64(composed)/float64(pruned), "speedup-x")
-			b.ReportMetric(float64(st.Pruned)/1000, "prune-ratio")
-		}
-	})
-}
-
-// BenchmarkBranchBoundExploration pins the tentpole claim of the
-// best-first branch-and-bound tree search against the PR-5 LINEAR
-// bound-pruned scan (the FlatPrune arm): on the 10^5-combination
-// FlowMon space the tree search must win >= 5x by cutting dominated
-// lane-prefix subtrees in bulk — regions the linear scan still pays one
-// per-combination bound check (and job) each for. Both arms produce
-// bit-identical survivor fronts (pinned by TestBranchBoundK5FrontIdentity).
-//
-//   - cold: both arms pay the same ~10·K lane captures and profile
-//     passes; the branch-and-bound arm seeds the front with the ten
-//     uniform-kind combinations first, then searches best-first.
+//   - cold: the search pays the ~10·K lane captures and profile passes,
+//     seeds the front with the ten uniform-kind combinations first,
+//     then searches best-first.
 //   - warm-new-platform: lanes and profiles come from a persisted
 //     snapshot and the space is re-explored on a platform the cache has
-//     no results for; neither arm executes anything.
+//     no results for; nothing executes.
 func BenchmarkBranchBoundExploration(b *testing.B) {
 	cases := []struct {
 		app     string
@@ -156,7 +58,7 @@ func BenchmarkBranchBoundExploration(b *testing.B) {
 			}
 			return time.Since(t0), eng.Stats(), s1
 		}
-		report := func(b *testing.B, flat, bb time.Duration, s1 *explore.Step1Result) {
+		report := func(b *testing.B, bb time.Duration, s1 *explore.Step1Result) {
 			b.Helper()
 			matPruned := 0
 			for _, r := range s1.Results {
@@ -169,20 +71,15 @@ func BenchmarkBranchBoundExploration(b *testing.B) {
 				b.Fatalf("tree search accounts for %d materialized + %d bulk-cut of %d",
 					len(s1.Results), bulk, c.space)
 			}
-			b.ReportMetric(float64(flat.Milliseconds()), "flat-ms")
 			b.ReportMetric(float64(bb.Milliseconds()), "branchbound-ms")
-			b.ReportMetric(float64(flat)/float64(bb), "speedup-x")
 			b.ReportMetric(float64(bulk)/float64(c.space), "cut-ratio")
 			b.ReportMetric(float64(len(s1.Results)), "materialized")
 		}
 
 		b.Run(fmt.Sprintf("%s-K%d/cold", c.app, c.k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				flatOpts := base
-				flatOpts.FlatPrune = true
-				flat, _, _ := run(b, flatOpts)
 				bb, _, s1 := run(b, base)
-				report(b, flat, bb, s1)
+				report(b, bb, s1)
 			}
 		})
 
@@ -207,17 +104,13 @@ func BenchmarkBranchBoundExploration(b *testing.B) {
 				return c
 			}
 			for i := 0; i < b.N; i++ {
-				flatOpts := base
-				flatOpts.FlatPrune = true
-				flatOpts.Cache, flatOpts.Platform = load(b), &other
-				flat, fst, _ := run(b, flatOpts)
 				bbOpts := base
 				bbOpts.Cache, bbOpts.Platform = load(b), &other
 				bb, st, s1 := run(b, bbOpts)
-				if fst.Simulated != 0 || st.Simulated != 0 {
-					b.Fatalf("warm arms executed %d/%d simulations", fst.Simulated, st.Simulated)
+				if st.Simulated != 0 {
+					b.Fatalf("warm search executed %d simulations", st.Simulated)
 				}
-				report(b, flat, bb, s1)
+				report(b, bb, s1)
 			}
 		})
 	}

@@ -21,17 +21,19 @@ import (
 // configurations, and repeated CLI runs (via Save/Load) revisit entire
 // explorations; the cache turns all of those into lookups.
 //
-// Beside finished results the cache holds two platform-invariant stores
+// Beside finished results the cache holds platform-invariant stores
 // keyed by the simulation identity *minus* the platform configuration:
 //
 //   - Access streams (internal/astream): the word-access stream of an
-//     executed simulation, captured once. Any other platform point for
-//     the same (app, config, packets, assignment) is then served by
-//     replaying the stream instead of re-running the application — the
-//     capture-once / replay-many fast path of multi-platform sweeps.
-//     Streams are byte-budgeted (SetStreamBudget); eviction only costs a
-//     potential re-execution later. Partial streams (from aborted
-//     captures) are stored tagged but never replayed.
+//     executed simulation, captured once as a one-lane composed stream
+//     and kept as a schedule entry (a one-token schedule whose ambient
+//     lane is the whole run) under the identity's stream key. Any other
+//     platform point for the same (app, config, packets, assignment) is
+//     then served by replaying the lane instead of re-running the
+//     application — the capture-once / replay-many fast path of
+//     multi-platform sweeps. Streams are byte-budgeted
+//     (SetStreamBudget); eviction only costs a potential re-execution
+//     later. Captures of aborted runs are dropped.
 //   - Profiles: dominance profiling attributes accesses per container
 //     role, which is platform-invariant, so a sweep profiles each
 //     network configuration once rather than once per platform point.
@@ -60,20 +62,23 @@ type Cache struct {
 	m  map[string]cacheEntry
 
 	sm           sync.RWMutex
-	streams      map[string]streamEntry
-	streamOrder  []string // insertion order, for budget eviction
 	streamBytes  int64
 	streamBudget int64
 
 	// Compositional stores (also guarded by sm, counted against the
-	// stream budget): per-(role, kind) lane sub-streams and per-
-	// configuration schedules. unpacked memoizes each lane's decoded
+	// stream budget): per-(role, kind) lane sub-streams and schedule
+	// entries — per-configuration schedules, plus whole-run captures
+	// under their stream keys. runs holds the identity of each whole-run
+	// capture (for ReplayPlatforms) and runOrder their insertion order,
+	// for budget eviction. unpacked memoizes each lane's decoded
 	// struct-of-arrays form — derived data, rebuilt on demand and
 	// dropped with its lane, so composition decodes each lane once per
 	// process instead of once per combination.
 	lanes     map[string]*astream.SubStream
 	laneOrder []string
 	scheds    map[string]schedEntry
+	runs      map[string]streamEntry
+	runOrder  []string
 	unpacked  map[string]*astream.UnpackedLane
 
 	// Reuse profiles (also guarded by sm, counted against the stream
@@ -132,9 +137,8 @@ type cacheEntry struct {
 	Ctx    string
 }
 
-// streamEntry is one captured access stream plus the platform-invariant
-// identity and behavioural summary of the run that produced it. The
-// identity fields let ReplayPlatforms enumerate streams and store exact
+// streamEntry is the platform-invariant identity of one whole-run
+// capture. It lets ReplayPlatforms enumerate captures and store exact
 // per-platform results without re-deriving keys from the outside.
 // Arenas records the address model the stream was captured under; replay
 // results are stored under matching keys so the two models never mix.
@@ -143,15 +147,15 @@ type streamEntry struct {
 	Cfg     Config
 	Assign  apps.Assignment
 	Packets int
-	Stream  *astream.Stream
-	Summary apps.Summary
 	Arenas  bool
 }
 
 // schedEntry is one run's operation schedule plus everything about the
 // run that is DDT-invariant: the ambient lane's sub-stream and the
 // behavioural summary (the refinement never changes functionality, so
-// one summary serves every combination of the same configuration).
+// one summary serves every combination of the same configuration). A
+// whole-run capture is a schedEntry with zero roles: its one-token
+// schedule makes the ambient lane the entire run.
 type schedEntry struct {
 	Sched   *astream.Schedule
 	Ambient *astream.SubStream
@@ -161,6 +165,16 @@ type schedEntry struct {
 // sizeBytes reports the entry's retained bytes for the stream budget.
 func (e schedEntry) sizeBytes() int64 {
 	return int64(e.Sched.SizeBytes() + e.Ambient.SizeBytes())
+}
+
+// wholeRun reports whether the entry is a whole-run capture rather than
+// a per-configuration composition schedule.
+func (e schedEntry) wholeRun() bool { return len(e.Sched.Roles) == 0 }
+
+// runEntry is one retained whole-run capture with its identity.
+type runEntry struct {
+	streamEntry
+	schedEntry
 }
 
 // DefaultStreamBudget bounds the encoded bytes of retained access
@@ -173,9 +187,9 @@ const DefaultStreamBudget = 256 << 20
 func NewCache() *Cache {
 	return &Cache{
 		m:            make(map[string]cacheEntry),
-		streams:      make(map[string]streamEntry),
 		lanes:        make(map[string]*astream.SubStream),
 		scheds:       make(map[string]schedEntry),
+		runs:         make(map[string]streamEntry),
 		unpacked:     make(map[string]*astream.UnpackedLane),
 		rprofiles:    make(map[string]*memsim.ReuseProfile),
 		lprofiles:    make(map[string]*memsim.ReuseProfile),
@@ -197,7 +211,7 @@ func (c *Cache) SetStreamBudget(bytes int64) {
 type CacheStats struct {
 	Hits, Misses               uint64
 	Entries                    int
-	Streams                    int   // retained access streams
+	Streams                    int   // retained whole-run access streams
 	StreamBytes                int64 // retained bytes: encoded streams/lanes/schedules + memoized decoded lanes + reuse profiles
 	StreamHits, StreamMisses   uint64
 	Lanes                      int // retained per-(role, kind) lane sub-streams
@@ -215,8 +229,8 @@ func (c *Cache) Stats() CacheStats {
 	n := len(c.m)
 	c.mu.RUnlock()
 	c.sm.RLock()
-	ns, nb := len(c.streams), c.streamBytes
-	nl, nsch := len(c.lanes), len(c.scheds)
+	ns, nb := len(c.runOrder), c.streamBytes
+	nl, nsch := len(c.lanes), len(c.scheds)-len(c.runOrder)
 	np, nlp := len(c.rprofiles), len(c.lprofiles)
 	nsp := len(c.sprofiles)
 	c.sm.RUnlock()
@@ -283,48 +297,6 @@ func (c *Cache) store(key string, r Result, ctx string) {
 	c.mu.Unlock()
 }
 
-// lookupStream returns the complete captured stream for the platform-
-// invariant key, with a defensive copy of its summary. Partial streams
-// never hit: the recorded prefix of an aborted run proves nothing about
-// the full run.
-func (c *Cache) lookupStream(key string) (*astream.Stream, apps.Summary, bool) {
-	c.sm.RLock()
-	e, ok := c.streams[key]
-	c.sm.RUnlock()
-	if !ok || e.Stream.Partial {
-		c.streamMisses.Add(1)
-		return nil, apps.Summary{}, false
-	}
-	c.streamHits.Add(1)
-	return e.Stream, cloneSummary(e.Summary), true
-}
-
-// storeStream retains a captured stream under the platform-invariant
-// key. A partial stream never replaces a complete one; budget overflow
-// evicts the oldest streams first (a pure performance loss, never a
-// correctness one). Streams are immutable once stored.
-func (c *Cache) storeStream(key string, e streamEntry) {
-	c.sm.Lock()
-	defer c.sm.Unlock()
-	if c.streamBudget <= 0 {
-		return
-	}
-	if old, ok := c.streams[key]; ok {
-		if e.Stream.Partial && !old.Stream.Partial {
-			return
-		}
-		c.streamBytes -= int64(old.Stream.SizeBytes())
-	} else {
-		c.streamOrder = append(c.streamOrder, key)
-	}
-	e.Cfg.Knobs = e.Cfg.Knobs.Clone()
-	e.Assign = e.Assign.Clone()
-	e.Summary = cloneSummary(e.Summary)
-	c.streams[key] = e
-	c.streamBytes += int64(e.Stream.SizeBytes())
-	c.evictLocked()
-}
-
 // lookupLane returns the complete lane sub-stream for a (role, kind)
 // key. Partial lanes never hit.
 func (c *Cache) lookupLane(key string) (*astream.SubStream, bool) {
@@ -340,8 +312,7 @@ func (c *Cache) lookupLane(key string) (*astream.SubStream, bool) {
 }
 
 // storeLane retains one (role, kind) lane sub-stream. Partial lanes are
-// dropped outright: a lane from an aborted capture proves nothing, and
-// unlike whole streams there is no inspection value in keeping it.
+// dropped outright: a lane from an aborted capture proves nothing.
 func (c *Cache) storeLane(key string, s *astream.SubStream) {
 	if s.Partial {
 		return
@@ -513,14 +484,24 @@ func (c *Cache) storeSampledProfile(key string, p *memsim.ReuseProfile) {
 // lookupSchedule returns the DDT-invariant schedule entry (operation
 // schedule, ambient lane, summary) for a configuration key.
 func (c *Cache) lookupSchedule(key string) (*astream.Schedule, *astream.SubStream, apps.Summary, bool) {
+	return c.lookupSched(key, &c.laneHits, &c.laneMisses)
+}
+
+// lookupRun returns the whole-run capture (one-token schedule, the run's
+// lane, summary) for a platform-invariant stream key.
+func (c *Cache) lookupRun(key string) (*astream.Schedule, *astream.SubStream, apps.Summary, bool) {
+	return c.lookupSched(key, &c.streamHits, &c.streamMisses)
+}
+
+func (c *Cache) lookupSched(key string, hits, misses *atomic.Uint64) (*astream.Schedule, *astream.SubStream, apps.Summary, bool) {
 	c.sm.RLock()
 	e, ok := c.scheds[key]
 	c.sm.RUnlock()
 	if !ok || e.Ambient.Partial {
-		c.laneMisses.Add(1)
+		misses.Add(1)
 		return nil, nil, apps.Summary{}, false
 	}
-	c.laneHits.Add(1)
+	hits.Add(1)
 	return e.Sched, e.Ambient, cloneSummary(e.Summary), true
 }
 
@@ -547,13 +528,42 @@ func (c *Cache) storeSchedule(key string, e schedEntry) {
 	c.evictLocked()
 }
 
-// streamEntries snapshots the retained streams (complete and partial).
-func (c *Cache) streamEntries() []streamEntry {
+// storeRun retains a whole-run capture and its identity under the
+// platform-invariant stream key. Like a schedule, the first capture of
+// an identity wins; unlike one, it is evicted under budget pressure (a
+// pure performance loss, never a correctness one).
+func (c *Cache) storeRun(key string, id streamEntry, e schedEntry) {
+	if e.Ambient.Partial {
+		return
+	}
+	c.sm.Lock()
+	defer c.sm.Unlock()
+	if c.streamBudget <= 0 {
+		return
+	}
+	if _, ok := c.scheds[key]; ok {
+		return
+	}
+	id.Cfg.Knobs = id.Cfg.Knobs.Clone()
+	id.Assign = id.Assign.Clone()
+	e.Summary = cloneSummary(e.Summary)
+	c.scheds[key] = e
+	c.runs[key] = id
+	c.runOrder = append(c.runOrder, key)
+	c.streamBytes += e.sizeBytes()
+	c.evictLocked()
+}
+
+// runEntries snapshots the retained whole-run captures whose identity
+// is known.
+func (c *Cache) runEntries() []runEntry {
 	c.sm.RLock()
 	defer c.sm.RUnlock()
-	out := make([]streamEntry, 0, len(c.streams))
-	for _, e := range c.streams {
-		out = append(out, e)
+	out := make([]runEntry, 0, len(c.runOrder))
+	for _, k := range c.runOrder {
+		if id, ok := c.runs[k]; ok {
+			out = append(out, runEntry{id, c.scheds[k]})
+		}
 	}
 	return out
 }
@@ -576,16 +586,16 @@ func (c *Cache) has(key string) bool {
 //  2. lane profiles — derived data, cheaply recomputed from their
 //     cached lane; losing one costs a single isolated probe pass and
 //     nothing user-visible;
-//  3. whole streams — each is one simulation point (a lane serves
+//  3. whole-run captures — each is one simulation point (a lane serves
 //     10^(K-1) combinations);
 //  4. lane sub-streams;
 //  5. reuse profiles — a profile is a few KB that answers a whole
 //     geometry cross product with zero probes, so it outlives the
 //     streams it summarizes.
 //
-// Schedules stay — they are small and every lane of their configuration
-// depends on them. The order is asserted by TestCacheEvictionOrder.
-// Called with sm held.
+// Composition schedules stay — they are small and every lane of their
+// configuration depends on them. The order is asserted by
+// TestCacheEvictionOrder. Called with sm held.
 func (c *Cache) evictLocked() {
 	for c.streamBytes > c.streamBudget && len(c.sprofOrder) > 0 {
 		key := c.sprofOrder[0]
@@ -603,13 +613,12 @@ func (c *Cache) evictLocked() {
 			delete(c.lprofiles, key)
 		}
 	}
-	for c.streamBytes > c.streamBudget && len(c.streamOrder) > 0 {
-		key := c.streamOrder[0]
-		c.streamOrder = c.streamOrder[1:]
-		if e, ok := c.streams[key]; ok {
-			c.streamBytes -= int64(e.Stream.SizeBytes())
-			delete(c.streams, key)
-		}
+	for c.streamBytes > c.streamBudget && len(c.runOrder) > 0 {
+		key := c.runOrder[0]
+		c.runOrder = c.runOrder[1:]
+		c.streamBytes -= c.scheds[key].sizeBytes()
+		delete(c.scheds, key)
+		delete(c.runs, key)
 	}
 	for c.streamBytes > c.streamBudget && len(c.laneOrder) > 0 {
 		key := c.laneOrder[0]
@@ -631,8 +640,8 @@ func (c *Cache) evictLocked() {
 			delete(c.rprofiles, key)
 		}
 	}
-	if len(c.streamOrder) == 0 {
-		c.streamOrder = nil
+	if len(c.runOrder) == 0 {
+		c.runOrder = nil
 	}
 	if len(c.laneOrder) == 0 {
 		c.laneOrder = nil
@@ -667,20 +676,6 @@ func (c *Cache) storeProfile(key string, p *profiler.Set) {
 	c.pm.Unlock()
 }
 
-// cacheFile is the persistent form of a pre-v4 (single gob struct)
-// cache file, kept for legacy decoding. Streams, lane sub-streams,
-// schedules and reuse profiles are optional (SaveWithStreams);
-// dominance profiles are runtime-only. Files written before a field
-// existed decode it as empty.
-type cacheFile struct {
-	Entries   map[string]cacheEntry
-	Streams   map[string]streamEntry
-	Lanes     map[string]*astream.SubStream
-	Scheds    map[string]schedEntry
-	RProfiles map[string]*memsim.ReuseProfile
-	LProfiles map[string]*memsim.ReuseProfile
-}
-
 // Save serializes the cached results to w (gob), without the access
 // streams; use SaveWithStreams to persist those too. Counters are not
 // saved.
@@ -689,7 +684,7 @@ func (c *Cache) Save(w io.Writer) error {
 }
 
 // SaveWithStreams serializes the cached results and the retained access
-// streams — whole-run streams, per-(role, kind) lane sub-streams and
+// streams — whole-run captures, per-(role, kind) lane sub-streams and
 // schedules — so a later process can replay new platform points or
 // compose new combinations without re-executing anything.
 func (c *Cache) SaveWithStreams(w io.Writer) error {
@@ -697,8 +692,7 @@ func (c *Cache) SaveWithStreams(w io.Writer) error {
 }
 
 // save and Load live in cache_io.go: the sectioned v4 format with
-// per-section CRC32C framing, the legacy decoders, and the atomic
-// SaveFile path.
+// per-section CRC32C framing and the atomic SaveFile path.
 
 // cacheKey renders the complete identity of one simulation: the
 // platform-invariant part (streamKey) plus the platform configuration.

@@ -2,16 +2,18 @@ package explore
 
 import (
 	"bytes"
-	"encoding/gob"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/memsim"
 )
 
-// fuzzSeedImages builds one encoding of every format Load accepts —
-// sectioned v4 (lean and with streams), the legacy cacheFile struct,
-// and the original bare entry map — from a cache holding an entry of
-// every persisted kind.
+// fuzzSeedImages builds the v4 encodings Load accepts: lean and with
+// streams from a cache holding an entry of every persisted kind, a
+// composition-only image (lanes and schedules), and a file written
+// before whole-run streams became one-lane captures (its retired
+// streams section is skipped on load).
 func fuzzSeedImages(tb testing.TB) [][]byte {
 	tb.Helper()
 	gs, err := memsim.NewGeomSim([]memsim.Config{memsim.DefaultConfig()})
@@ -25,7 +27,7 @@ func fuzzSeedImages(tb testing.TB) [][]byte {
 	c := NewCache()
 	c.store("k1", Result{App: "URL"}, "prune=0 k=2")
 	c.store("k2", Result{App: "URL", Aborted: true, Pruned: true}, "prune=1 k=2")
-	c.storeStream("S", streamEntry{App: "URL", Packets: 300, Stream: mkStream(false)})
+	c.storeRun("S", streamEntry{App: "URL", Packets: 300}, mkRun(3, false))
 	c.storeReuseProfile(reuseProfileKey("S", prof.LineBytes), prof)
 	c.SetCheckpoint(Checkpoint{App: "URL", Ctx: "prune=0 k=2", Step: 1, Settled: 42})
 
@@ -37,19 +39,23 @@ func fuzzSeedImages(tb testing.TB) [][]byte {
 		tb.Fatal(err)
 	}
 
-	var legacyStruct bytes.Buffer
-	if err := gob.NewEncoder(&legacyStruct).Encode(cacheFile{
-		Entries: map[string]cacheEntry{"k1": {Result: Result{App: "URL"}, Ctx: "prune=0 k=2"}},
-	}); err != nil {
+	cc := NewCache()
+	sched := mkRun(4, false)
+	sched.Sched.Roles = []string{"r"}
+	cc.storeSchedule("sched", sched)
+	lane := mkRun(5, false).Ambient
+	lane.Role, lane.Lane = "r", 1
+	cc.storeLane("lane", lane)
+	var composed bytes.Buffer
+	if err := cc.SaveWithStreams(&composed); err != nil {
 		tb.Fatal(err)
 	}
-	var legacyMap bytes.Buffer
-	if err := gob.NewEncoder(&legacyMap).Encode(map[string]cacheEntry{
-		"k1": {Result: Result{App: "URL"}, Ctx: "prune=0 k=2"},
-	}); err != nil {
+
+	parent, err := os.ReadFile(filepath.Join("testdata", "parent_v4_streams.simcache"))
+	if err != nil {
 		tb.Fatal(err)
 	}
-	return [][]byte{lean.Bytes(), full.Bytes(), legacyStruct.Bytes(), legacyMap.Bytes()}
+	return [][]byte{lean.Bytes(), full.Bytes(), composed.Bytes(), parent}
 }
 
 // FuzzCacheLoad throws arbitrary bytes — seeded with every real cache
@@ -103,27 +109,24 @@ func FuzzCacheLoad(f *testing.F) {
 // TestCacheLoadMutationSweep is the deterministic core of the fuzz
 // contract, run on every plain `go test`: for each real encoding, every
 // truncation length and a bit flip at every offset must either load
-// (possibly salvaging) or fail cleanly — never panic. Legacy formats
-// carry no checksums, so a flipped byte may decode to garbage or error;
-// the sectioned format must additionally never hard-fail past its
-// preamble — a damaged section drops or truncates the scan while the
-// rest loads.
+// (possibly salvaging) or fail cleanly — never panic — and past the
+// preamble never hard-fail: a damaged section drops or truncates the
+// scan while the rest loads.
 func TestCacheLoadMutationSweep(t *testing.T) {
+	preamble := len(cacheMagic) + 4
 	for _, img := range fuzzSeedImages(t) {
-		sectioned := bytes.HasPrefix(img, []byte(cacheMagic))
-		preamble := len(cacheMagic) + 4
 		for n := 0; n <= len(img); n++ {
 			_, err := NewCache().LoadReported(bytes.NewReader(img[:n]))
-			if err != nil && sectioned && n >= preamble {
-				t.Fatalf("sectioned image truncated to %d bytes: hard error %v, want salvage", n, err)
+			if err != nil && n >= preamble {
+				t.Fatalf("image truncated to %d bytes: hard error %v, want salvage", n, err)
 			}
 		}
 		for off := 0; off < len(img); off++ {
 			mut := append([]byte(nil), img...)
 			mut[off] ^= 0xA5
 			_, err := NewCache().LoadReported(bytes.NewReader(mut))
-			if err != nil && sectioned && off >= preamble {
-				t.Fatalf("sectioned image flipped at %d: hard error %v, want salvage or truncation", off, err)
+			if err != nil && off >= preamble {
+				t.Fatalf("image flipped at %d: hard error %v, want salvage or truncation", off, err)
 			}
 		}
 	}

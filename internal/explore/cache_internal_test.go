@@ -2,81 +2,112 @@ package explore
 
 import (
 	"bytes"
-	"encoding/gob"
+	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/astream"
 	"repro/internal/memsim"
+	"repro/internal/vheap"
 )
 
-// TestLoadLegacyCacheFormat pins that cache files written before the
-// access-stream format — a bare gob entry map — still load.
-func TestLoadLegacyCacheFormat(t *testing.T) {
-	legacy := map[string]cacheEntry{
-		"k1": {Result: Result{App: "URL"}, Ctx: "prune=0 k=2"},
+// mkRun records one whole-run capture of n accesses (one-lane composed
+// stream, metered by a fresh heap), optionally partial.
+func mkRun(n int, partial bool) schedEntry {
+	cr := astream.NewComposedRecorder(nil, []astream.LaneMeter{vheap.New()})
+	for i := 0; i < n; i++ {
+		cr.RecordAccess(false, uint32(0x1000_0000+i*64), 4, 1)
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(legacy); err != nil {
-		t.Fatal(err)
-	}
-	c := NewCache()
-	if err := c.Load(&buf); err != nil {
-		t.Fatalf("legacy cache rejected: %v", err)
-	}
-	if r, ok := c.lookup("k1", false, ""); !ok || r.App != "URL" {
-		t.Fatalf("legacy entry missing: %+v ok=%v", r, ok)
-	}
-	// Garbage must still error.
-	if err := NewCache().Load(bytes.NewReader([]byte("not a gob stream"))); err == nil {
-		t.Fatal("garbage cache file accepted")
-	}
+	sched, lanes := cr.Finish(partial)
+	return schedEntry{Sched: sched, Ambient: lanes[0]}
 }
 
-// mkStream records one tiny stream, optionally partial.
-func mkStream(partial bool) *astream.Stream {
-	rec := astream.NewRecorder()
-	rec.RecordAccess(false, 0x1000_0000, 4, 2)
-	return rec.Finish(partial)
-}
-
-// TestLoadPartialDoesNotReplaceComplete pins that merging a saved cache
-// whose stream for a key is partial never clobbers a complete stream
-// already held in memory — the same invariant storeStream enforces.
+// TestLoadPartialDoesNotReplaceComplete pins that a loaded whole-run
+// capture from an aborted run never lands in the cache — neither over
+// a complete capture already held in memory nor in an empty slot — the
+// same invariant storeRun enforces, while a loaded complete capture
+// fills an empty slot.
 func TestLoadPartialDoesNotReplaceComplete(t *testing.T) {
+	id := streamEntry{App: "URL", Packets: 300}
+	// storeRun drops partial captures, so plant one directly, as an
+	// older or foreign writer could have saved it.
 	donor := NewCache()
-	donor.storeStream("K", streamEntry{App: "URL", Packets: 300, Stream: mkStream(true)})
+	donor.scheds["K"] = mkRun(1, true)
+	donor.runs["K"] = id
 	var buf bytes.Buffer
 	if err := donor.SaveWithStreams(&buf); err != nil {
 		t.Fatal(err)
 	}
+	saved := buf.Bytes()
 
 	c := NewCache()
-	c.storeStream("K", streamEntry{App: "URL", Packets: 300, Stream: mkStream(false)})
-	if err := c.Load(&buf); err != nil {
+	c.storeRun("K", id, mkRun(2, false))
+	if err := c.Load(bytes.NewReader(saved)); err != nil {
 		t.Fatal(err)
 	}
-	if st, _, ok := c.lookupStream("K"); !ok || st.Partial {
-		t.Fatalf("complete stream lost to a loaded partial (ok=%v)", ok)
+	if _, lane, _, ok := c.lookupRun("K"); !ok || lane.Partial || lane.Accesses != 2 {
+		t.Fatalf("complete capture lost to a loaded partial (ok=%v)", ok)
 	}
-	// The reverse direction: loading a complete stream over a partial
-	// one must upgrade it.
+	empty := NewCache()
+	if err := empty.Load(bytes.NewReader(saved)); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, ok := empty.lookupRun("K"); ok || empty.Stats().Streams != 0 {
+		t.Fatal("a loaded partial capture became replayable")
+	}
+
+	// The reverse direction: a loaded complete capture fills the slot a
+	// partial run could never occupy.
 	donor2 := NewCache()
-	donor2.storeStream("K", streamEntry{App: "URL", Packets: 300, Stream: mkStream(false)})
+	donor2.storeRun("K", id, mkRun(1, false))
 	var buf2 bytes.Buffer
 	if err := donor2.SaveWithStreams(&buf2); err != nil {
 		t.Fatal(err)
 	}
 	c2 := NewCache()
-	c2.storeStream("K", streamEntry{App: "URL", Packets: 300, Stream: mkStream(true)})
+	c2.storeRun("K", id, mkRun(1, true))
 	if err := c2.Load(&buf2); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := c2.lookupStream("K"); !ok {
-		t.Fatal("loaded complete stream did not replace the partial one")
+	if _, _, _, ok := c2.lookupRun("K"); !ok {
+		t.Fatal("loaded complete capture did not land")
+	}
+	if len(c2.runEntries()) != 1 {
+		t.Fatal("loaded capture lost its identity")
 	}
 	if c2.Stats().StreamBytes <= 0 {
 		t.Fatal("stream byte accounting broken after merge")
+	}
+}
+
+// TestLoadParentStreamsSection pins the retired streams section: a v4
+// file written before whole-run streams became one-lane composed
+// captures (testdata: results, the old streams section, lanes,
+// schedules, reuse and lane profiles, checkpoint) still loads — every
+// other section merges and nothing is reported dropped or truncated —
+// while its whole-run streams are skipped.
+func TestLoadParentStreamsSection(t *testing.T) {
+	c := NewCache()
+	rep, err := c.LoadFile(filepath.Join("testdata", "parent_v4_streams.simcache"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Truncated || len(rep.Dropped) != 0 {
+		t.Fatalf("parent file did not load cleanly: %+v", rep)
+	}
+	for _, want := range []string{"results", "lanes", "schedules", "reuse-profiles", "lane-profiles", "checkpoint"} {
+		if !slices.Contains(rep.Sections, want) {
+			t.Errorf("section %q not merged: %+v", want, rep.Sections)
+		}
+	}
+	st := c.Stats()
+	if st.Entries != 2 || st.Streams != 0 || st.Lanes != 3 || st.Schedules != 1 ||
+		st.ReuseProfiles != 1 || st.LaneProfiles != 1 {
+		t.Fatalf("parent file loaded as %+v", st)
+	}
+	if ck, ok := c.Checkpoint(); !ok || ck.Settled != 7 {
+		t.Fatalf("checkpoint not merged: %+v ok=%v", ck, ok)
 	}
 }
 
@@ -143,11 +174,7 @@ func TestReuseProfilePersistenceAndBudget(t *testing.T) {
 	// Eviction order: squeezing the budget drops the (bigger) stream
 	// first and keeps the profile; squeezing further drops the profile.
 	c2 := NewCache()
-	rec := astream.NewRecorder()
-	for i := 0; i < 4096; i++ {
-		rec.RecordAccess(false, uint32(i*64), 4, 1)
-	}
-	c2.storeStream("K", streamEntry{App: "URL", Packets: 1, Stream: rec.Finish(false)})
+	c2.storeRun("K", streamEntry{App: "URL", Packets: 1}, mkRun(4096, false))
 	c2.storeReuseProfile(key, p)
 	c2.SetStreamBudget(int64(p.SizeBytes()) + 64)
 	if s := c2.Stats(); s.Streams != 0 || s.ReuseProfiles != 1 {
@@ -184,25 +211,23 @@ func mkSampledProfile(t *testing.T) *memsim.ReuseProfile {
 // TestCacheEvictionOrder pins the documented eviction tiers end to end:
 // under a shrinking budget, sampled profiles go first (approximate
 // screening artifacts, one sampled replay each), then lane profiles
-// (derived data, rederivable from their lane), then whole streams,
-// then lane sub-streams, then reuse profiles — and schedules never.
+// (derived data, rederivable from their lane), then whole-run captures,
+// then lane sub-streams, then reuse profiles — and composition
+// schedules never.
 func TestCacheEvictionOrder(t *testing.T) {
 	c := NewCache()
 	sp := mkSampledProfile(t)
 	lp := mkReuseProfile(t)
 	lp.ColdLines, lp.EndLive = 2, 64
 	rp := mkReuseProfile(t)
-	rec := astream.NewRecorder()
-	for i := 0; i < 4096; i++ {
-		rec.RecordAccess(false, uint32(i*64), 4, 1)
-	}
-	c.storeStream("stream", streamEntry{App: "URL", Packets: 1, Stream: rec.Finish(false)})
-	laneRec := astream.NewRecorder()
-	for i := 0; i < 2048; i++ {
-		laneRec.RecordAccess(true, uint32(i*32), 4, 1)
-	}
-	lane := &astream.SubStream{Stream: *laneRec.Finish(false), Role: "r", Lane: 1}
+	c.storeRun("stream", streamEntry{App: "URL", Packets: 1}, mkRun(4096, false))
+	lane := mkRun(2048, false).Ambient
+	lane.Role, lane.Lane = "r", 1
 	c.storeLane("lane", lane)
+	// A composition schedule survives every tier.
+	sched := mkRun(16, false)
+	sched.Sched.Roles = []string{"r"}
+	c.storeSchedule("sched", sched)
 	c.storeReuseProfile("rprof", rp)
 	c.storeLaneProfile("lprof", lp)
 	c.storeSampledProfile(screenKey("sprof", 2), sp)
@@ -240,6 +265,9 @@ func TestCacheEvictionOrder(t *testing.T) {
 	if _, _, _, _, rp := snapshot(); rp != 0 {
 		t.Fatal("reuse profile survived a 1-byte budget")
 	}
+	if s := c.Stats(); s.Schedules != 1 {
+		t.Fatalf("composition schedule evicted: %+v", s)
+	}
 }
 
 // TestSampledProfilesNotPersisted pins that sampled screening profiles
@@ -262,69 +290,6 @@ func TestSampledProfilesNotPersisted(t *testing.T) {
 	}
 	if loaded.lookupSampledProfile(key) != nil {
 		t.Fatal("sampled profile survived a save/load round trip")
-	}
-}
-
-// legacyCacheFile mirrors the persisted cache format as written before
-// lane profiles existed (PR 4): gob matches fields by name, so encoding
-// this struct is byte-compatible with an old process's SaveWithStreams.
-type legacyCacheFile struct {
-	Entries   map[string]cacheEntry
-	Streams   map[string]streamEntry
-	Lanes     map[string]*astream.SubStream
-	Scheds    map[string]schedEntry
-	RProfiles map[string]*memsim.ReuseProfile
-}
-
-// TestLoadPreLaneProfileCacheFormat pins that cache files written
-// before lane profiles existed still load — everything they carry
-// survives, lane profiles simply start empty — and that a fresh save
-// then round-trips lane profiles (including the merge-on-load path).
-func TestLoadPreLaneProfileCacheFormat(t *testing.T) {
-	legacy := legacyCacheFile{
-		Entries:   map[string]cacheEntry{"k": {Result: Result{App: "URL"}}},
-		Streams:   map[string]streamEntry{"s": {App: "URL", Packets: 1, Stream: mkStream(false)}},
-		RProfiles: map[string]*memsim.ReuseProfile{"rp": mkReuseProfile(t)},
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(legacy); err != nil {
-		t.Fatal(err)
-	}
-	c := NewCache()
-	if err := c.Load(&buf); err != nil {
-		t.Fatalf("pre-lane-profile cache rejected: %v", err)
-	}
-	st := c.Stats()
-	if st.Entries != 1 || st.Streams != 1 || st.ReuseProfiles != 1 || st.LaneProfiles != 0 {
-		t.Fatalf("legacy load mangled stores: %+v", st)
-	}
-
-	// Round trip with a lane profile on top of the legacy content.
-	lp := mkReuseProfile(t)
-	lp.ColdLines, lp.EndLive = 3, 128
-	c.storeLaneProfile("lp", lp)
-	var buf2 bytes.Buffer
-	if err := c.SaveWithStreams(&buf2); err != nil {
-		t.Fatal(err)
-	}
-	saved := buf2.Bytes()
-	c2 := NewCache()
-	if err := c2.Load(bytes.NewReader(saved)); err != nil {
-		t.Fatal(err)
-	}
-	got := c2.lookupLaneProfile("lp")
-	if got == nil || !reflect.DeepEqual(got, lp) {
-		t.Fatalf("lane profile did not round-trip: %+v", got)
-	}
-	if s := c2.Stats(); s.LaneProfiles != 1 || s.Streams != 1 {
-		t.Fatalf("round-trip stats wrong: %+v", s)
-	}
-	// Re-loading merges instead of double-counting.
-	if err := c2.Load(bytes.NewReader(saved)); err != nil {
-		t.Fatal(err)
-	}
-	if s := c2.Stats(); s.LaneProfiles != 1 {
-		t.Fatalf("reload duplicated lane profiles: %+v", s)
 	}
 }
 

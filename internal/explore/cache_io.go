@@ -37,11 +37,8 @@ import (
 // before the end marker is a torn write: everything up to the last
 // complete frame loads, the tail is reported as truncation.
 //
-// Files written by earlier versions — the gob cacheFile struct, or the
-// original bare entry map — carry no magic and are detected from a
-// bounded prefix (the gob type-descriptor region names the top-level
-// struct within the first few hundred bytes), then decoded by streaming
-// straight from the reader: no format needs the whole file resident.
+// Input without the magic is not a cache file and fails to load; the
+// pre-v4 gob layouts are no longer read.
 const (
 	cacheMagic   = "DDTCACHE"
 	cacheVersion = 4
@@ -49,14 +46,17 @@ const (
 
 // Section identifiers of the v4 format. Values are part of the on-disk
 // format: never renumber, only append.
+// Id 2 held whole-run streams before they became one-lane composed
+// captures (kept in the schedules section); it is retired, and files
+// that still carry it load with the section skipped.
 const (
 	secResults    byte = 1
-	secStreams    byte = 2
 	secLanes      byte = 3
 	secScheds     byte = 4
 	secRProfiles  byte = 5
 	secLProfiles  byte = 6
 	secCheckpoint byte = 7
+	secRuns       byte = 8
 	secEnd        byte = 0xFF
 )
 
@@ -81,8 +81,6 @@ func sectionName(id byte) string {
 	switch id {
 	case secResults:
 		return "results"
-	case secStreams:
-		return "streams"
 	case secLanes:
 		return "lanes"
 	case secScheds:
@@ -93,6 +91,8 @@ func sectionName(id byte) string {
 		return "lane-profiles"
 	case secCheckpoint:
 		return "checkpoint"
+	case secRuns:
+		return "run-identities"
 	default:
 		return fmt.Sprintf("section-%d", id)
 	}
@@ -155,9 +155,9 @@ func (c *Cache) save(w io.Writer, withStreams bool) error {
 
 	if withStreams {
 		c.sm.RLock()
-		streams := make(map[string]streamEntry, len(c.streams))
-		for k, v := range c.streams {
-			streams[k] = v
+		runs := make(map[string]streamEntry, len(c.runs))
+		for k, v := range c.runs {
+			runs[k] = v
 		}
 		lanes := make(map[string]*astream.SubStream, len(c.lanes))
 		for k, v := range c.lanes {
@@ -180,9 +180,9 @@ func (c *Cache) save(w io.Writer, withStreams bool) error {
 			id byte
 			v  any
 		}{
-			{secStreams, streams},
 			{secLanes, lanes},
 			{secScheds, scheds},
+			{secRuns, runs},
 			{secRProfiles, rprofiles},
 			{secLProfiles, lprofiles},
 		} {
@@ -212,11 +212,9 @@ type LoadReport struct {
 }
 
 // Load merges previously saved cache contents from r, overwriting
-// entries with equal keys (except that a loaded partial stream never
-// replaces a complete one, mirroring storeStream). It is how repeated
-// CLI runs skip simulations earlier runs already paid for. All prior
-// formats still load: the sectioned v4 format, the gob cacheFile
-// struct, and the original bare entry map. Salvageable damage (a
+// results with equal keys (stream stores keep their first complete
+// entry, as their store functions do). It is how repeated CLI runs skip
+// simulations earlier runs already paid for. Salvageable damage (a
 // corrupt section, a truncated tail) is absorbed silently here; use
 // LoadReported to observe it.
 func (c *Cache) Load(r io.Reader) error {
@@ -244,12 +242,6 @@ func (c *Cache) LoadFileFS(fs faultio.ReadFS, path string) (LoadReport, error) {
 	return c.LoadReported(f)
 }
 
-// legacyProbeBytes bounds the prefix the format probe may examine:
-// past the start of the gob type-descriptor region (the top-level
-// type's descriptor begins within the first handful of bytes) while
-// staying ahead of map payload data, which could contain anything.
-const legacyProbeBytes = 256
-
 // LoadReported is Load with salvage reporting. The error is reserved
 // for unusable input — an unreadable reader, an unsupported version, a
 // file that is not a cache at all; checksum-dropped sections and torn
@@ -257,17 +249,17 @@ const legacyProbeBytes = 256
 func (c *Cache) LoadReported(r io.Reader) (LoadReport, error) {
 	br := bufio.NewReaderSize(r, 64<<10)
 	head, _ := br.Peek(len(cacheMagic) + 4)
-	if len(head) >= len(cacheMagic)+4 && string(head[:len(cacheMagic)]) == cacheMagic {
-		version := binary.LittleEndian.Uint32(head[len(cacheMagic):])
-		if version != cacheVersion {
-			return LoadReport{}, fmt.Errorf("explore: loading simulation cache: unsupported format version %d", version)
-		}
-		if _, err := br.Discard(len(cacheMagic) + 4); err != nil {
-			return LoadReport{}, fmt.Errorf("explore: loading simulation cache: %w", err)
-		}
-		return c.loadSectioned(br)
+	if len(head) < len(cacheMagic)+4 || string(head[:len(cacheMagic)]) != cacheMagic {
+		return LoadReport{}, fmt.Errorf("explore: loading simulation cache: not a sectioned cache file")
 	}
-	return c.loadLegacy(br)
+	version := binary.LittleEndian.Uint32(head[len(cacheMagic):])
+	if version != cacheVersion {
+		return LoadReport{}, fmt.Errorf("explore: loading simulation cache: unsupported format version %d", version)
+	}
+	if _, err := br.Discard(len(cacheMagic) + 4); err != nil {
+		return LoadReport{}, fmt.Errorf("explore: loading simulation cache: %w", err)
+	}
+	return c.loadSectioned(br)
 }
 
 // loadSectioned scans the v4 frame sequence, merging every section
@@ -363,8 +355,8 @@ func (c *Cache) readSectionPayload(br *bufio.Reader, id byte, ln int64) (merge f
 // stageSection decodes one section payload into staging structures and
 // returns the closure that merges them into the cache — deferred so a
 // payload that later fails its checksum never touches cache state.
-// Unknown section ids decode to a no-op merge (forward compatibility:
-// a reader may skip what it does not understand).
+// Unknown section ids — including the retired streams section — decode
+// to a no-op merge (a reader may skip what it does not understand).
 func (c *Cache) stageSection(id byte, r io.Reader) (func(), error) {
 	switch id {
 	case secResults:
@@ -373,12 +365,6 @@ func (c *Cache) stageSection(id byte, r io.Reader) (func(), error) {
 			return nil, err
 		}
 		return func() { c.mergeEntries(m) }, nil
-	case secStreams:
-		var m map[string]streamEntry
-		if err := safeDecode(r, &m); err != nil {
-			return nil, err
-		}
-		return func() { c.mergeStreams(m) }, nil
 	case secLanes:
 		var m map[string]*astream.SubStream
 		if err := safeDecode(r, &m); err != nil {
@@ -409,6 +395,12 @@ func (c *Cache) stageSection(id byte, r io.Reader) (func(), error) {
 			return nil, err
 		}
 		return func() { c.SetCheckpoint(ck) }, nil
+	case secRuns:
+		var m map[string]streamEntry
+		if err := safeDecode(r, &m); err != nil {
+			return nil, err
+		}
+		return func() { c.mergeRuns(m) }, nil
 	default:
 		if _, err := io.Copy(io.Discard, r); err != nil {
 			return nil, err
@@ -418,9 +410,8 @@ func (c *Cache) stageSection(id byte, r io.Reader) (func(), error) {
 }
 
 // safeDecode gob-decodes one value with panics converted to errors:
-// corrupt bytes that slip past a checksum (or arrive via a legacy
-// format, which has none) must surface as a clean load failure, never
-// a crash.
+// corrupt bytes that slip past a checksum must surface as a clean load
+// failure, never a crash.
 func safeDecode(r io.Reader, v any) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -428,40 +419,6 @@ func safeDecode(r io.Reader, v any) (err error) {
 		}
 	}()
 	return gob.NewDecoder(r).Decode(v)
-}
-
-// loadLegacy decodes the pre-v4 formats by streaming from the reader.
-// The two legacy layouts are told apart from a bounded prefix: the gob
-// type-descriptor region of the struct format names its top-level type
-// ("cacheFile") within the first few hundred bytes, while the bare
-// entry map has no named top-level type. Decoding then streams the
-// whole file through gob directly — no full-file buffering.
-func (c *Cache) loadLegacy(br *bufio.Reader) (LoadReport, error) {
-	var rep LoadReport
-	prefix, _ := br.Peek(legacyProbeBytes)
-	var f cacheFile
-	// Case-insensitive: historical writers named the struct cacheFile;
-	// compatibility fixtures re-encode it under names like
-	// legacyCacheFile, which gob matches field-by-field regardless.
-	if bytes.Contains(bytes.ToLower(prefix), []byte("cachefile")) {
-		rep.Format = "legacy-struct"
-		if err := safeDecode(br, &f); err != nil {
-			return rep, fmt.Errorf("explore: loading simulation cache: %w", err)
-		}
-	} else {
-		rep.Format = "legacy-map"
-		if err := safeDecode(br, &f.Entries); err != nil {
-			return rep, fmt.Errorf("explore: loading simulation cache: %w", err)
-		}
-	}
-	c.mergeEntries(f.Entries)
-	c.mergeStreams(f.Streams)
-	c.mergeLanes(f.Lanes)
-	c.mergeScheds(f.Scheds)
-	c.mergeRProfiles(f.RProfiles)
-	c.mergeLProfiles(f.LProfiles)
-	rep.Sections = append(rep.Sections, "legacy")
-	return rep, nil
 }
 
 // mergeEntries merges loaded results, overwriting equal keys.
@@ -474,32 +431,6 @@ func (c *Cache) mergeEntries(m map[string]cacheEntry) {
 		c.m[k] = v
 	}
 	c.mu.Unlock()
-}
-
-// mergeStreams merges loaded whole-run streams; a loaded partial
-// stream never replaces a complete one, mirroring storeStream.
-func (c *Cache) mergeStreams(m map[string]streamEntry) {
-	if len(m) == 0 {
-		return
-	}
-	c.sm.Lock()
-	defer c.sm.Unlock()
-	for k, v := range m {
-		if v.Stream == nil {
-			continue
-		}
-		if old, ok := c.streams[k]; !ok {
-			c.streamOrder = append(c.streamOrder, k)
-		} else {
-			if v.Stream.Partial && !old.Stream.Partial {
-				continue
-			}
-			c.streamBytes -= int64(old.Stream.SizeBytes())
-		}
-		c.streams[k] = v
-		c.streamBytes += int64(v.Stream.SizeBytes())
-	}
-	c.evictLocked()
 }
 
 // mergeLanes merges loaded lane sub-streams, dropping partial lanes as
@@ -525,8 +456,9 @@ func (c *Cache) mergeLanes(m map[string]*astream.SubStream) {
 	c.evictLocked()
 }
 
-// mergeScheds merges loaded schedule entries; the first complete entry
-// for a configuration wins, as storeSchedule.
+// mergeScheds merges loaded schedule entries — composition schedules
+// and whole-run captures alike; the first complete entry for a key
+// wins, as storeSchedule and storeRun.
 func (c *Cache) mergeScheds(m map[string]schedEntry) {
 	if len(m) == 0 {
 		return
@@ -541,9 +473,23 @@ func (c *Cache) mergeScheds(m map[string]schedEntry) {
 			continue
 		}
 		c.scheds[k] = v
+		if v.wholeRun() {
+			c.runOrder = append(c.runOrder, k)
+		}
 		c.streamBytes += v.sizeBytes()
 	}
 	c.evictLocked()
+}
+
+// mergeRuns merges loaded whole-run capture identities.
+func (c *Cache) mergeRuns(m map[string]streamEntry) {
+	c.sm.Lock()
+	defer c.sm.Unlock()
+	for k, v := range m {
+		if _, ok := c.runs[k]; !ok {
+			c.runs[k] = v
+		}
+	}
 }
 
 // mergeRProfiles merges loaded reuse profiles into accumulated

@@ -26,7 +26,6 @@ func resumeModes() []struct {
 		name string
 		opts explore.Options
 	}{
-		{"flat-bound-pruned", explore.Options{TracePackets: 200, BoundPrune: true, FlatPrune: true}},
 		{"branch-and-bound", explore.Options{TracePackets: 200, BoundPrune: true}},
 		{"sampled-screening", explore.Options{TracePackets: 200, SampleRate: explore.DefaultSampleRate}},
 	}
@@ -197,15 +196,16 @@ type cacheFrame struct {
 const endFrameID = 0xFF
 
 // frameSectionNames mirrors the on-disk section ids; values are part
-// of the format and pinned here against accidental renumbering.
+// of the format and pinned here against accidental renumbering. Id 2
+// (whole-run streams) is retired: savers never write it.
 var frameSectionNames = map[byte]string{
 	1: "results",
-	2: "streams",
 	3: "lanes",
 	4: "schedules",
 	5: "reuse-profiles",
 	6: "lane-profiles",
 	7: "checkpoint",
+	8: "run-identities",
 }
 
 // parseCacheFrames walks a sectioned cache image frame by frame.
@@ -358,7 +358,7 @@ func TestSaveFileCrashPointSweep(t *testing.T) {
 
 // TestLoadSalvagesAroundCorruptSection flips bytes in a saved cache
 // image: payload corruption drops exactly the damaged section (every
-// other section still loads, so a damaged streams store can never take
+// other section still loads, so a damaged stream store can never take
 // the results store down with it), and header corruption truncates the
 // scan at the damaged frame with everything before it loaded.
 func TestLoadSalvagesAroundCorruptSection(t *testing.T) {

@@ -307,7 +307,7 @@ func (c *Cache) ExportDelta(cur *DeltaCursor) *CacheDelta {
 		}
 	}
 	for k, e := range c.scheds {
-		if !cur.scheds[k] && !e.Ambient.Partial {
+		if !cur.scheds[k] && !e.Ambient.Partial && !e.wholeRun() {
 			d.Scheds[k] = e
 		}
 	}

@@ -460,10 +460,10 @@ func (e *Engine) streamMode(ctx context.Context, jobs iter.Seq[Job], guardFor fu
 // lookup, then the bound-guided prune check (BoundPrune: zero replays
 // when the front already dominates the combination's admissible lower
 // bound), then composition of cached per-role sub-streams (Compose),
-// then replay of a captured whole-run access stream for the same
-// platform-invariant identity, then a (possibly guarded) live simulation
-// — which records whatever capture mode is on, so later jobs take a
-// cheaper path. All paths fill the cache.
+// then replay of a whole-run capture (a one-lane composed stream) for
+// the same platform-invariant identity, then a (possibly guarded) live
+// simulation — which records whatever capture mode is on, so later
+// jobs take a cheaper path. All paths fill the cache.
 func (e *Engine) runJob(idx int, jb Job, guard *frontGuard) Outcome {
 	return e.runJobMode(idx, jb, guard, false)
 }
@@ -526,7 +526,7 @@ func (e *Engine) runJobExact(idx int, jb Job, guard *frontGuard) Outcome {
 		}
 		if e.opts.CaptureStreams && !compose {
 			skey = streamKey(e.app.Name(), jb.Cfg, jb.Assign, e.opts.packets(), e.opts.Arenas)
-			if st, sum, ok := e.cache.lookupStream(skey); ok && e.replayJob(&o, st, sum, jb, aguard) {
+			if sched, lane, sum, ok := e.cache.lookupRun(skey); ok && e.replayRun(&o, sched, lane, sum, jb, aguard) {
 				e.cache.store(key, o.Result, e.exploreCtx)
 				return o
 			}
@@ -538,10 +538,7 @@ func (e *Engine) runJobExact(idx int, jb Job, guard *frontGuard) Outcome {
 		return o
 	}
 	p := newPlatform(e.app, e.opts)
-	var (
-		rec *astream.Recorder
-		cr  *astream.ComposedRecorder
-	)
+	var cr *astream.ComposedRecorder
 	switch {
 	case compose:
 		// A compositional capture run is one of the ~10·K executions the
@@ -554,8 +551,7 @@ func (e *Engine) runJobExact(idx int, jb Job, guard *frontGuard) Outcome {
 			p.AbortWhen(abortCheckProbes, aguard.dominatedBeyond)
 		}
 		if skey != "" {
-			rec = astream.NewRecorder()
-			p.Capture(rec)
+			cr = p.CaptureRun()
 		}
 	}
 	sum, abortedRun, err := runRecovering(e.app, tr, p, jb.Assign, jb.Cfg.Knobs)
@@ -563,18 +559,13 @@ func (e *Engine) runJobExact(idx int, jb Job, guard *frontGuard) Outcome {
 		o.Err = fmt.Errorf("explore: %s on %s: %w", e.app.Name(), jb.Cfg, err)
 		return o
 	}
-	if rec != nil {
-		// Aborted runs leave a partial stream: retained (tagged) for
-		// inspection, never replayed.
-		p.EndCapture()
-		e.cache.storeStream(skey, streamEntry{
-			App: e.app.Name(), Cfg: jb.Cfg, Assign: jb.Assign, Packets: e.opts.packets(),
-			Stream: rec.Finish(abortedRun), Summary: sum, Arenas: e.opts.Arenas,
-		})
-	}
 	if cr != nil {
 		p.EndCapture()
-		e.storeComposed(jb, cr, sum, abortedRun)
+		if compose {
+			e.storeComposed(jb, cr, sum, abortedRun)
+		} else {
+			e.storeRun(skey, jb.Cfg, jb.Assign, cr, sum, abortedRun)
+		}
 	}
 	o.Result = Result{
 		App:     e.app.Name(),
@@ -612,6 +603,19 @@ func (e *Engine) storeComposed(jb Job, cr *astream.ComposedRecorder, sum apps.Su
 		kind := apps.KindFor(jb.Assign, role)
 		e.cache.storeLane(laneKey(app, jb.Cfg, packets, role, kind), subs[i+1])
 	}
+}
+
+// storeRun files one whole-run capture under its platform-invariant
+// stream key — a one-token schedule whose ambient lane is the run — and
+// returns both. Aborted captures are dropped, as in storeComposed.
+func (e *Engine) storeRun(skey string, cfg Config, assign apps.Assignment, cr *astream.ComposedRecorder, sum apps.Summary, aborted bool) (*astream.Schedule, *astream.SubStream) {
+	sched, subs := cr.Finish(aborted)
+	if !aborted {
+		e.cache.storeRun(skey, streamEntry{
+			App: e.app.Name(), Cfg: cfg, Assign: assign, Packets: e.opts.packets(), Arenas: e.opts.Arenas,
+		}, schedEntry{Sched: sched, Ambient: subs[0], Summary: sum})
+	}
+	return sched, subs[0]
 }
 
 // composedLanes gathers the schedule and the job point's pre-decoded
@@ -849,12 +853,12 @@ func replayVector(cfg memsim.Config, model energy.Model, c astream.Cost) metrics
 	}
 }
 
-// replayJob satisfies a job by replaying a captured access stream
-// against the engine's platform, with the early-abort guard (when
-// present) polled on the running partial vector exactly as a live
-// simulation would be. It reports false when the stream cannot be used
-// (decode error), sending the caller down the live-execution path.
-func (e *Engine) replayJob(o *Outcome, st *astream.Stream, sum apps.Summary, jb Job, guard *frontGuard) bool {
+// replayRun satisfies a job by replaying a whole-run capture against
+// the engine's platform, with the early-abort guard (when present)
+// polled on the running partial vector as a live simulation would be.
+// It reports false when the capture cannot be used (decode error),
+// sending the caller down the live-execution path.
+func (e *Engine) replayRun(o *Outcome, sched *astream.Schedule, lane *astream.SubStream, sum apps.Summary, jb Job, guard *frontGuard) bool {
 	cfg := e.opts.platformConfig()
 	model := e.model
 	var g astream.GuardFunc
@@ -863,7 +867,7 @@ func (e *Engine) replayJob(o *Outcome, st *astream.Stream, sum apps.Summary, jb 
 			return guard.dominatedBeyond(replayVector(cfg, model, c))
 		}
 	}
-	cost, err := astream.Replay(st, cfg, g)
+	cost, err := astream.ReplayComposed(sched, []*astream.SubStream{lane}, cfg, g)
 	if err != nil {
 		return false
 	}
@@ -1007,18 +1011,18 @@ func (e *Engine) EvaluatePlatforms(ctx context.Context, cfg Config, assign apps.
 		return vecs, nil
 	}
 
-	st, sum, err := e.captureStream(cfg, assign)
+	sched, lane, sum, err := e.captureRun(cfg, assign)
 	if err != nil {
 		return nil, err
 	}
-	// One pass over the stream: a single decode drives every remaining
+	// One pass over the capture: a single decode drives every remaining
 	// family's all-geometry kernel (the replay planner groups by line
 	// size internally), leaving one reuse profile per family behind.
 	cfgs := make([]memsim.Config, len(rest))
 	for j, i := range rest {
 		cfgs[j] = platforms[i]
 	}
-	costs, profs, err := astream.ReplayMultiProfiled(st, cfgs)
+	costs, profs, err := astream.ReplayComposedMultiProfiled(sched, []*astream.SubStream{lane}, cfgs)
 	if err != nil {
 		return nil, err
 	}
@@ -1054,9 +1058,10 @@ func (e *Engine) profileFamily(skey string, cfg Config, assign apps.Assignment, 
 
 // serveProfileFamily fills vecs for one family from an already-resolved
 // reuse profile (immutable, so the caller may hold it across other
-// cache operations), storing results when the stream or schedule entry
-// still provides the run summary. It reports false when any family
-// member is outside the profile's covered cross product.
+// cache operations), storing results when the identity's schedule entry
+// (whole-run capture or composition schedule) still provides the run
+// summary. It reports false when any family member is outside the
+// profile's covered cross product.
 func (e *Engine) serveProfileFamily(p *memsim.ReuseProfile, skey string, cfg Config, assign apps.Assignment, fam platform.LineFamily, platforms []memsim.Config, vecs []metrics.Vector) bool {
 	costs := make([]astream.Cost, len(fam.Indexes))
 	for j, i := range fam.Indexes {
@@ -1066,14 +1071,16 @@ func (e *Engine) serveProfileFamily(p *memsim.ReuseProfile, skey string, cfg Con
 		}
 	}
 	// The profile alone has no behavioural summary; only store results
-	// when the identity's stream (or schedule) entry still provides it,
-	// so cached Results never lose their summaries.
-	sum, haveSum := apps.Summary{}, false
+	// when the identity's schedule entry still provides it, so cached
+	// Results never lose their summaries.
+	var (
+		sum     apps.Summary
+		haveSum bool
+	)
 	if e.opts.Compose {
-		_, _, s, ok := e.cache.lookupSchedule(schedKey(e.app.Name(), cfg, e.opts.packets()))
-		sum, haveSum = s, ok
-	} else if _, s, ok := e.cache.lookupStream(skey); ok {
-		sum, haveSum = s, true
+		_, _, sum, haveSum = e.cache.lookupSchedule(schedKey(e.app.Name(), cfg, e.opts.packets()))
+	} else {
+		_, _, sum, haveSum = e.cache.lookupRun(skey)
 	}
 	for j, i := range fam.Indexes {
 		pc := platforms[i]
@@ -1158,41 +1165,33 @@ func (e *Engine) composePlatforms(cfg Config, assign apps.Assignment, platforms 
 	return vecs, true
 }
 
-// captureStream returns the complete access stream for the point, from
-// the cache or by executing once with capture attached. A nil stream
-// (without error) means capture is unavailable (no cache to retain it).
-func (e *Engine) captureStream(cfg Config, assign apps.Assignment) (*astream.Stream, apps.Summary, error) {
-	if e.cache == nil {
-		return nil, apps.Summary{}, nil
-	}
+// captureRun returns the whole-run capture for the point (one-token
+// schedule, the run's lane, summary), from the cache or by executing
+// once with capture attached. The caller guarantees a cache.
+func (e *Engine) captureRun(cfg Config, assign apps.Assignment) (*astream.Schedule, *astream.SubStream, apps.Summary, error) {
 	skey := streamKey(e.app.Name(), cfg, assign, e.opts.packets(), e.opts.Arenas)
-	if st, sum, ok := e.cache.lookupStream(skey); ok {
-		return st, sum, nil
+	if sched, lane, sum, ok := e.cache.lookupRun(skey); ok {
+		return sched, lane, sum, nil
 	}
 	tr, err := loadTrace(cfg.TraceName, e.opts.packets())
 	if err != nil {
-		return nil, apps.Summary{}, err
+		return nil, nil, apps.Summary{}, err
 	}
 	p := newPlatform(e.app, e.opts)
-	rec := astream.NewRecorder()
-	p.Capture(rec)
+	cr := p.CaptureRun()
 	sum, err := e.app.Run(tr, p, assign, cfg.Knobs, nil)
 	if err != nil {
-		return nil, apps.Summary{}, fmt.Errorf("explore: %s on %s: %w", e.app.Name(), cfg, err)
+		return nil, nil, apps.Summary{}, fmt.Errorf("explore: %s on %s: %w", e.app.Name(), cfg, err)
 	}
 	p.EndCapture()
-	st := rec.Finish(false)
-	e.cache.storeStream(skey, streamEntry{
-		App: e.app.Name(), Cfg: cfg, Assign: assign, Packets: e.opts.packets(),
-		Stream: st, Summary: sum, Arenas: e.opts.Arenas,
-	})
+	sched, lane := e.storeRun(skey, cfg, assign, cr, sum, false)
 	e.simulated.Add(1)
 	key := cacheKey(e.app.Name(), cfg, assign, e.opts.packets(), e.opts.platformConfig(), e.opts.Arenas)
 	e.cache.store(key, Result{
 		App: e.app.Name(), Config: cfg, Assign: assign,
 		Vec: p.Metrics(), Summary: sum,
 	}, e.exploreCtx)
-	return st, sum, nil
+	return sched, lane, sum, nil
 }
 
 // collect drains a stream into an index-ordered result slice, feeding
@@ -1234,14 +1233,14 @@ func (e *Engine) collect(cancel context.CancelFunc, outcomes <-chan Outcome, res
 // are stopped mid-simulation; their entries in Results carry partial
 // vectors and Aborted set, and they are — provably — never survivors.
 //
-// With bound pruning active (and Options.FlatPrune off), the flat scan
-// is replaced by the best-first branch-and-bound search over lane
-// prefixes (see step1BranchBound): whole subtrees of the combination
-// tree are cut against the live front before enumeration, Results holds
-// only the materialized combinations (sorted by combination index), and
-// Pruned counts every discarded combination whether it was cut in bulk
-// or individually. Simulations, the survivor set and all fronts are
-// identical either way.
+// With bound pruning active, the flat scan is replaced by the
+// best-first branch-and-bound search over lane prefixes (see
+// step1BranchBound): whole subtrees of the combination tree are cut
+// against the live front before enumeration, Results holds only the
+// materialized combinations (sorted by combination index), and Pruned
+// counts every discarded combination whether it was cut in bulk or
+// individually. Simulations, the survivor set and all fronts are
+// identical to the unpruned scan.
 func (e *Engine) Step1(ctx context.Context, reference Config) (*Step1Result, error) {
 	probes, err := e.Profile(ctx, reference)
 	if err != nil {
@@ -1257,7 +1256,7 @@ func (e *Engine) Step1(ctx context.Context, reference Config) (*Step1Result, err
 		return e.step1Screened(ctx, reference, probes, dominant, total)
 	}
 
-	if e.boundPruneActive() && !e.opts.FlatPrune {
+	if e.boundPruneActive() {
 		s1 := &Step1Result{
 			DominantRoles: dominant,
 			Profile:       probes,

@@ -22,13 +22,16 @@
 // vector is dominated beyond Options.AbortMargin. Finished results are
 // memoized in a Cache keyed by the complete simulation identity, so the
 // network level, platform sweeps and repeated runs never re-simulate a
-// point. With Options.CaptureStreams the Cache additionally retains each
-// executed simulation's platform-invariant word-access stream
-// (internal/astream), and any job differing only in platform
-// configuration is served by replaying the stream — exact counts, cycles
+// point. Both capture modes record the one stream format of
+// internal/astream, the segmented lane sub-stream, and replay through
+// its composed kernels. With Options.CaptureStreams the Cache
+// additionally retains each executed simulation's platform-invariant
+// word-access stream as a whole-run capture — a one-lane composed
+// stream under a one-token schedule — and any job differing only in
+// platform configuration is served by replaying it: exact counts, cycles
 // and energy without re-running the application; ReplayPlatforms and
 // Engine.EvaluatePlatforms batch this across many platforms with one
-// decode per stream. With Options.Compose the engine goes further:
+// decode per capture. With Options.Compose the engine goes further:
 // every executed simulation runs on per-role heap arenas and records
 // one access sub-stream per container role plus the DDT-invariant
 // operation schedule, and any combination whose per-(role, kind)
@@ -105,18 +108,21 @@ type Options struct {
 	// not merely the number allowed to run.
 	Workers int
 	// Cache supplies a shared simulation cache; nil gives each Engine a
-	// private one. Share a Cache to carry results across methodology
-	// runs, sweeps or processes (Cache.Save/Load).
+	// private one. Share a Cache to carry results — and, with capture,
+	// access streams — across methodology runs, sweeps or processes
+	// (Cache.Save/SaveWithStreams/Load).
 	Cache *Cache
 	// DisableCache turns result memoization off entirely — for benchmarks
 	// that must measure raw simulation cost.
 	DisableCache bool
 	// CaptureStreams enables access-stream capture and replay (requires
 	// a cache). Every executed simulation then records its platform-
-	// invariant word-access stream, and any later job with the same
+	// invariant word-access stream as a whole-run capture (one lane, one
+	// segment: platform.CaptureRun), and any later job with the same
 	// (app, config, packets, assignment) identity on a *different*
-	// platform configuration is served by replaying the stream — exact
-	// counts, cycles and energy without re-running the application.
+	// platform configuration is served by a composed replay of that
+	// lane — exact counts, cycles and energy without re-running the
+	// application. Captures of aborted runs are dropped.
 	// Platform sweeps (sweep.Run, Engine.EvaluatePlatforms) enable it
 	// automatically; single-platform explorations leave it off, since
 	// capture costs live-simulation overhead and stream memory without a
@@ -160,16 +166,6 @@ type Options struct {
 	// cross-configuration averaged charts (it lacks full configuration
 	// coverage), while every step front stays exact.
 	BoundPrune bool
-	// FlatPrune forces the linear scan even when BoundPrune is active:
-	// every combination is enumerated and bound-checked individually
-	// against the live front, instead of the default best-first
-	// branch-and-bound search that cuts whole lane-prefix subtrees
-	// before enumeration. Survivors and fronts are identical either way;
-	// the flag exists as the benchmark baseline the searcher is measured
-	// against, and for consumers that need a per-combination Result for
-	// every point of the space (branch-and-bound compacts Results to the
-	// materialized combinations).
-	FlatPrune bool
 	// SampleRate, when in (0, 1), turns Step1 into a two-phase screening
 	// exploration (implies Compose, and so Arenas; requires a cache and
 	// the PruneFront survivor strategy — otherwise the run is exact).

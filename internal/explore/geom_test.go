@@ -72,7 +72,8 @@ func crossProductVariants() []memsim.Config {
 // DDT combination, one GeomSim pass over the captured stream must
 // reproduce — per configuration, bit-for-bit — the Counts, Cycles and
 // Peak of both the per-config LineSim replay it collapses and a live
-// simulation, across every default sweep platform; and the same holds
+// simulation, across every default sweep platform, from a whole-run
+// capture on the shared heap; and the same holds
 // on the composed (arena) path from per-role lanes, including the reuse
 // profiles either pass leaves behind.
 func TestGeomReplayMatchesLiveAllApps(t *testing.T) {
@@ -97,22 +98,22 @@ func TestGeomReplayMatchesLiveAllApps(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// Flat path: capture once on the default platform.
+			// Shared-heap path: a whole-run (one-lane) capture on the
+			// default platform.
 			pc := platform.New(memsim.DefaultConfig())
-			rec := astream.NewRecorder()
-			pc.Capture(rec)
+			cr := pc.CaptureRun()
 			if _, err := a.Run(tr, pc, assign, cfg.Knobs, nil); err != nil {
 				t.Fatal(err)
 			}
 			pc.EndCapture()
-			st := rec.Finish(false)
+			run, runLanes := cr.Finish(false)
 
-			costs, profs, err := astream.ReplayMultiProfiled(st, cfgs)
+			costs, profs, err := astream.ReplayComposedMultiProfiled(run, runLanes, cfgs)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i, mc := range cfgs {
-				want, err := astream.Replay(st, mc, nil)
+				want, err := astream.ReplayComposed(run, runLanes, mc, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

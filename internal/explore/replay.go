@@ -11,27 +11,28 @@ import (
 	"repro/internal/platform"
 )
 
-// ReplayPlatforms evaluates every complete captured access stream in the
-// cache against the given platform configurations, storing the exact
+// ReplayPlatforms evaluates every whole-run capture in the cache against
+// the given platform configurations, storing the exact
 // per-platform results back into the cache — the warm pass of a platform
 // sweep. The platforms are grouped into line-size geometry families
-// (platform.LineFamilies); per stream, each family is served, in order
+// (platform.LineFamilies); per capture, each family is served, in order
 // of preference:
 //
 //   - by pure arithmetic from a cached reuse profile covering every
 //     missing family member — zero decode, zero probes;
-//   - by one all-geometry probe pass (astream.ReplayMultiProfiled): the
-//     stream is decoded exactly once for all remaining families, a
+//   - by one all-geometry probe pass (astream.ReplayComposedMultiProfiled
+//     over the capture's one-lane schedule): the lane is decoded exactly
+//     once for all remaining families, a
 //     single memsim.GeomSim walk per family yields every member's exact
 //     counts, and the reuse profiles stay in the cache so the next
 //     sweep over this identity is arithmetic.
 //
-// The per-stream units are independent, so they fan out across a
+// The per-capture units are independent, so they fan out across a
 // bounded worker pool (GOMAXPROCS workers), each reusing the pooled
-// replay scratch. Platforms a stream already has finished results for
-// are skipped; partial streams and streams that fail to decode are
-// skipped (they fall back to live execution on demand). It returns the
-// number of (stream, platform) evaluations performed.
+// replay scratch. Platforms a capture already has finished results for
+// are skipped, as are captures that fail to decode (they fall back to
+// live execution on demand). It returns the number of (capture,
+// platform) evaluations performed.
 func ReplayPlatforms(c *Cache, platforms []memsim.Config) int {
 	if c == nil || len(platforms) == 0 {
 		return 0
@@ -42,12 +43,7 @@ func ReplayPlatforms(c *Cache, platforms []memsim.Config) int {
 	}
 	families := platform.LineFamilies(platforms)
 
-	var units []streamEntry
-	for _, e := range c.streamEntries() {
-		if !e.Stream.Partial {
-			units = append(units, e)
-		}
-	}
+	units := c.runEntries()
 	if len(units) == 0 {
 		return 0
 	}
@@ -59,14 +55,14 @@ func ReplayPlatforms(c *Cache, platforms []memsim.Config) int {
 	var (
 		n    atomic.Int64
 		wg   sync.WaitGroup
-		feed = make(chan streamEntry)
+		feed = make(chan runEntry)
 	)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for e := range feed {
-				n.Add(int64(replayPlatformsForStream(c, e, families, platforms, models)))
+				n.Add(int64(replayPlatformsForRun(c, e, families, platforms, models)))
 			}
 		}()
 	}
@@ -78,9 +74,9 @@ func ReplayPlatforms(c *Cache, platforms []memsim.Config) int {
 	return int(n.Load())
 }
 
-// replayPlatformsForStream performs one stream's warm-pass unit,
-// returning the number of (stream, platform) evaluations it stored.
-func replayPlatformsForStream(c *Cache, e streamEntry, families []platform.LineFamily, platforms []memsim.Config, models []energy.Model) int {
+// replayPlatformsForRun performs one capture's warm-pass unit, returning
+// the number of (capture, platform) evaluations it stored.
+func replayPlatformsForRun(c *Cache, e runEntry, families []platform.LineFamily, platforms []memsim.Config, models []energy.Model) int {
 	skey := streamKey(e.App, e.Cfg, e.Assign, e.Packets, e.Arenas)
 	store := func(i int, cost astream.Cost) {
 		c.store(cacheKey(e.App, e.Cfg, e.Assign, e.Packets, platforms[i], e.Arenas), Result{
@@ -132,12 +128,12 @@ func replayPlatformsForStream(c *Cache, e streamEntry, families []platform.LineF
 		return n
 	}
 
-	// One decode of the stream drives every queued family's kernel.
+	// One decode of the lane drives every queued family's kernel.
 	cfgs := make([]memsim.Config, len(rest))
 	for j, i := range rest {
 		cfgs[j] = platforms[i]
 	}
-	costs, profs, err := astream.ReplayMultiProfiled(e.Stream, cfgs)
+	costs, profs, err := astream.ReplayComposedMultiProfiled(e.Sched, []*astream.SubStream{e.Ambient}, cfgs)
 	if err != nil {
 		return n
 	}

@@ -89,16 +89,27 @@ func TestStreamPersistence(t *testing.T) {
 	if err := cache.SaveWithStreams(&buf); err != nil {
 		t.Fatal(err)
 	}
+	saved := buf.Bytes()
 	fullSize := buf.Len()
 	restored := explore.NewCache()
-	if err := restored.Load(&buf); err != nil {
+	if err := restored.Load(bytes.NewReader(saved)); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := restored.Stats().Streams, cache.Stats().Streams; got != want {
 		t.Fatalf("restored %d streams, want %d", got, want)
 	}
 
+	// The captures keep their identities across processes: the warm
+	// pass can enumerate and replay every restored stream.
 	alt := altPlatform()
+	warmed := explore.NewCache()
+	if err := warmed.Load(bytes.NewReader(saved)); err != nil {
+		t.Fatal(err)
+	}
+	if n, want := explore.ReplayPlatforms(warmed, []memsim.Config{alt}), cache.Stats().Streams; n != want {
+		t.Fatalf("warm pass over restored streams evaluated %d, want %d", n, want)
+	}
+
 	eng := explore.NewEngine(app, explore.Options{TracePackets: 300, Cache: restored, CaptureStreams: true, Platform: &alt})
 	if _, err := eng.Step1(ctx, ref); err != nil {
 		t.Fatal(err)
@@ -227,6 +238,47 @@ func TestEvaluatePlatformsExact(t *testing.T) {
 		}
 		if r.Vec != vecs[i] {
 			t.Errorf("platform %d: %v != live %v", i, vecs[i], r.Vec)
+		}
+	}
+}
+
+// TestGuardedReplayFrontMatchesLive pins early abort on the whole-run
+// replay path: with every job of a second platform served by a guarded
+// replay of its one-lane capture, the step-1 survivor front equals an
+// unguarded live exploration on that platform, member for member.
+func TestGuardedReplayFrontMatchesLive(t *testing.T) {
+	app := urlsw.App{}
+	ctx := context.Background()
+	ref := explore.Configs(app)[0]
+	cache := explore.NewCache()
+	capture := explore.NewEngine(app, explore.Options{TracePackets: 300, Cache: cache, CaptureStreams: true})
+	if _, err := capture.Step1(ctx, ref); err != nil {
+		t.Fatal(err)
+	}
+
+	alt := altPlatform()
+	// A near-zero margin and one worker make the guard fire on this
+	// small space: the front fills in order, then stops later replays.
+	guarded := explore.NewEngine(app, explore.Options{TracePackets: 300, Cache: cache, CaptureStreams: true,
+		Platform: &alt, EarlyAbort: true, AbortMargin: 1e-9, Workers: 1})
+	got, err := guarded.Step1(ctx, ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := guarded.Stats(); st.Simulated != 0 || st.Replayed == 0 || st.Aborted == 0 {
+		t.Fatalf("want replays with some guard aborts and no executions, got %+v", st)
+	}
+	live, err := explore.NewEngine(app, explore.Options{TracePackets: 300, Platform: &alt}).Step1(ctx, ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Survivors) != len(live.Survivors) {
+		t.Fatalf("guarded replay front has %d members, live %d", len(got.Survivors), len(live.Survivors))
+	}
+	for i := range got.Survivors {
+		if got.Survivors[i].Vec != live.Survivors[i].Vec || got.Survivors[i].Assign.String() != live.Survivors[i].Assign.String() {
+			t.Errorf("survivor %d: guarded replay %v %v != live %v %v", i,
+				got.Survivors[i].Assign, got.Survivors[i].Vec, live.Survivors[i].Assign, live.Survivors[i].Vec)
 		}
 	}
 }

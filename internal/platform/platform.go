@@ -89,7 +89,7 @@ func (p *Platform) ArenaFor(role string) (a *vheap.Arena, lane int, ok bool) {
 // recorded at every segment end. One run therefore captures the
 // (role, kind) sub-stream of every role at once, plus the kind-invariant
 // ambient lane and operation schedule. Detach with EndCapture before
-// Recorder.Finish, as with Capture.
+// Finish, as with CaptureRun.
 func (p *Platform) CaptureComposed() *astream.ComposedRecorder {
 	if p.roleArenas == nil {
 		panic("platform: CaptureComposed requires UseArenas")
@@ -104,25 +104,28 @@ func (p *Platform) CaptureComposed() *astream.ComposedRecorder {
 	return cr
 }
 
-// Capture tees the platform's activity into rec: every memory event goes
-// through the hierarchy's event sink and every footprint high-water-mark
-// growth through the heap's peak hook. The recorded stream is the
-// platform-invariant behavior of the run — replaying it (internal/
-// astream) against any other memory-subsystem configuration reproduces
-// that configuration's live metrics exactly, without re-executing the
-// application. Attach before the application runs; the capture overhead
-// is a few nanoseconds per event on the live simulation.
-func (p *Platform) Capture(rec *astream.Recorder) {
-	p.Mem.SetEventSink(rec)
-	p.Heap.SetPeakHook(rec.RecordPeak)
+// CaptureRun attaches a whole-run capture and returns the recorder: a
+// composed recorder with zero roles, whose single lane holds every event
+// of the run as one segment, metered by the whole heap so the lane's
+// segment deltas reproduce the footprint peak exactly. The recorded
+// stream is the platform-invariant behavior of the run — replaying it
+// (astream.ReplayComposed) against any other memory-subsystem
+// configuration reproduces that configuration's live metrics exactly,
+// without re-executing the application. It works under either address
+// model. Attach before the application runs; detach with EndCapture
+// before Finish.
+func (p *Platform) CaptureRun() *astream.ComposedRecorder {
+	cr := astream.NewComposedRecorder(nil, []astream.LaneMeter{p.Heap})
+	p.Mem.SetEventSink(cr)
+	return cr
 }
 
-// EndCapture detaches a recorder attached by Capture, flushing any ALU
-// ops the hierarchy has not yet reported. Call it after the application
-// run (normal or aborted), before Recorder.Finish.
+// EndCapture detaches a recorder attached by CaptureRun or
+// CaptureComposed, flushing any ALU ops the hierarchy has not yet
+// reported. Call it after the application run (normal or aborted),
+// before Finish.
 func (p *Platform) EndCapture() {
 	p.Mem.SetEventSink(nil)
-	p.Heap.SetPeakHook(nil)
 }
 
 // AbortWhen arms the platform's early-abort hook: every everyProbes

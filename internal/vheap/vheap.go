@@ -117,16 +117,11 @@ type Heap struct {
 	allocs   uint64
 	frees    uint64
 
-	// peakHook, when set, observes every growth of the footprint
-	// high-water mark (see SetPeakHook).
-	peakHook func(peak uint64)
+	// Whole-heap segment metering (BeginSegment/SegmentStats), the
+	// counterpart of Arena's for a capture that spans every arena.
+	segStart uint64
+	segMax   uint64
 }
-
-// SetPeakHook installs fn to be called whenever PeakLiveBytes grows, with
-// the new high-water mark; nil detaches. Access-stream capture uses it to
-// snapshot the footprint metric alongside the memory events, so a replay
-// can reconstruct the peak without a heap.
-func (h *Heap) SetPeakHook(fn func(peak uint64)) { h.peakHook = fn }
 
 // sizeClass allocates fixed-size slots from scattered bank positions.
 type sizeClass struct {
@@ -327,9 +322,9 @@ func (a *Arena) Alloc(size uint32) uint32 {
 	h.liveByte += uint64(rs) + HeaderBytes
 	if h.liveByte > h.peakLive {
 		h.peakLive = h.liveByte
-		if h.peakHook != nil {
-			h.peakHook(h.peakLive)
-		}
+	}
+	if h.liveByte > h.segMax {
+		h.segMax = h.liveByte
 	}
 	h.allocs++
 	return addr
@@ -360,6 +355,22 @@ func (a *Arena) BeginSegment() {
 // over the segment (endDelta, signed).
 func (a *Arena) SegmentStats() (maxDelta uint64, endDelta int64) {
 	return a.segMax - a.segStart, int64(a.live) - int64(a.segStart)
+}
+
+// BeginSegment opens a footprint-metering segment over the whole heap
+// (every arena): SegmentStats will report deltas relative to the heap's
+// live bytes now. A whole-run capture (internal/astream) meters its
+// single lane this way, so its footprint peak is exact under either
+// address model.
+func (h *Heap) BeginSegment() {
+	h.segStart = h.liveByte
+	h.segMax = h.liveByte
+}
+
+// SegmentStats reports the current whole-heap segment's footprint
+// deltas, as Arena.SegmentStats does for one arena.
+func (h *Heap) SegmentStats() (maxDelta uint64, endDelta int64) {
+	return h.segMax - h.segStart, int64(h.liveByte) - int64(h.segStart)
 }
 
 // Alloc reserves a block of at least size bytes from the heap's default
