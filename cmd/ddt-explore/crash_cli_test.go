@@ -10,7 +10,10 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"syscall"
 	"testing"
+
+	"repro/internal/faultio"
 )
 
 // TestRunSurvivesCorruptCache pins graceful degradation: a cache file
@@ -276,4 +279,111 @@ func TestInterruptedRunResumes(t *testing.T) {
 	if hits, _ := strconv.Atoi(m[1]); hits == 0 {
 		t.Fatal("resumed run hit nothing in the persisted cache")
 	}
+}
+
+// captureStderr runs f with os.Stderr sent to a file and returns what
+// f wrote there.
+func captureStderr(t *testing.T, f func()) string {
+	t.Helper()
+	tmp, err := os.CreateTemp(t.TempDir(), "stderr-*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tmp.Close()
+	old := os.Stderr
+	os.Stderr = tmp
+	defer func() { os.Stderr = old }()
+	f()
+	data, err := os.ReadFile(tmp.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}
+
+// assertFileKept fails unless path still holds data in the same file
+// with the same modification time: nothing was written or renamed over
+// it.
+func assertFileKept(t *testing.T, path string, data []byte, info os.FileInfo) {
+	t.Helper()
+	now, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nowInfo, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(now, data) || !os.SameFile(info, nowInfo) || !info.ModTime().Equal(nowInfo.ModTime()) {
+		t.Fatal("the cache file was rewritten")
+	}
+}
+
+// TestRunLeavesUnreadableCacheAlone pins the clobber guard: a cache
+// file that exists but cannot be read (EIO on open here) may be intact,
+// so the run warns, goes cold, and saves nothing over it — neither at
+// its checkpoints nor at the end.
+func TestRunLeavesUnreadableCacheAlone(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "drr.replay")
+	c := base("DRR")
+	c.compose = true
+	c.replayCache = path
+	if err := run(context.Background(), c); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.checkpointEvery = 5
+	c.cacheFS = faultio.NewInjectFS(faultio.OS{}).FailN(faultio.OpOpen, 1, syscall.EIO)
+	stderr := captureStderr(t, func() {
+		if err := run(context.Background(), c); err != nil {
+			t.Errorf("unreadable cache killed the run: %v", err)
+		}
+	})
+	if !strings.Contains(stderr, "cannot read cache") {
+		t.Errorf("no warning about the unreadable cache on stderr:\n%s", stderr)
+	}
+	assertFileKept(t, path, data, info)
+	if left, _ := filepath.Glob(filepath.Join(dir, "*.tmp-*")); len(left) != 0 {
+		t.Fatalf("temp files left behind: %v", left)
+	}
+}
+
+// TestRunSettledCacheNotRewritten pins the warm-rerun save: once a
+// campaign's replay cache has settled, a rerun leaves the file alone
+// and says so on stderr, while stdout keeps its saved-cache line.
+func TestRunSettledCacheNotRewritten(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "drr.replay")
+	c := base("DRR")
+	c.compose = true
+	c.replayCache = path
+	for i := 0; i < 2; i++ { // a cold run, then a rerun to settle
+		if err := run(context.Background(), c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stderr := captureStderr(t, func() {
+		if err := run(context.Background(), c); err != nil {
+			t.Error(err)
+		}
+	})
+	if !strings.Contains(stderr, "is unchanged; not rewritten") {
+		t.Errorf("no unchanged-cache note on stderr:\n%s", stderr)
+	}
+	assertFileKept(t, path, data, info)
 }

@@ -59,6 +59,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/distrib"
 	"repro/internal/explore"
+	"repro/internal/faultio"
 	"repro/internal/memsim"
 	"repro/internal/metrics"
 	"repro/internal/report"
@@ -98,6 +99,10 @@ type cliConfig struct {
 	cpuProfile      string
 	memProfile      string
 	progress        bool
+
+	// cacheFS is the filesystem the cache file is read through; nil is
+	// the real one. Tests inject read faults here.
+	cacheFS faultio.ReadFS
 }
 
 // parseFlags parses args into a cliConfig on a private FlagSet, so the
@@ -256,7 +261,15 @@ func run(ctx context.Context, c cliConfig) error {
 	if c.replayCache != "" {
 		cachePath = c.replayCache
 	}
-	cache := loadCache(cachePath)
+	readFS := c.cacheFS
+	if readFS == nil {
+		readFS = faultio.OS{}
+	}
+	cache, writable := loadCache(readFS, cachePath)
+	if !writable {
+		// The file may be intact: never overwrite what could not be read.
+		cachePath = ""
+	}
 	if cache == nil && c.platforms != "" {
 		// The platform evaluation replays captured streams; give the run
 		// an in-process cache to hold them.
@@ -329,7 +342,7 @@ func run(ctx context.Context, c cliConfig) error {
 				fmt.Fprintf(os.Stderr, "interrupted: campaign state saved to %s after %d settled jobs; rerun the same command to resume\n",
 					cachePath, eng.Settled())
 			} else {
-				fmt.Fprintln(os.Stderr, "interrupted: no -cache/-replay-cache configured, campaign state not persisted")
+				fmt.Fprintln(os.Stderr, "interrupted: no cache file to save to, campaign state not persisted")
 			}
 			return nil
 		}
@@ -581,7 +594,7 @@ func runCoordinator(ctx context.Context, c cliConfig, a apps.App, eng *explore.E
 				fmt.Fprintf(os.Stderr, "interrupted: campaign state saved to %s after %d settled jobs; rerun the same command to resume\n",
 					cachePath, eng.Settled())
 			} else {
-				fmt.Fprintln(os.Stderr, "interrupted: no -cache/-replay-cache configured, campaign state not persisted")
+				fmt.Fprintln(os.Stderr, "interrupted: no cache file to save to, campaign state not persisted")
 			}
 			return nil, nil
 		}
@@ -729,31 +742,30 @@ func bestAssignment(r *core.Report) apps.Assignment {
 // first run, an unusable file is warned about and moved aside to
 // <path>.corrupt (preserving the evidence while letting the end-of-run
 // save recreate the path), and a partially damaged file loads whatever
-// its intact sections hold.
-func loadCache(path string) *explore.Cache {
+// its intact sections hold. A file that exists but cannot be read (EIO,
+// EACCES) may well be intact, so the run goes cold and writable is
+// false: nothing may be saved over it.
+func loadCache(fs faultio.ReadFS, path string) (cache *explore.Cache, writable bool) {
 	if path == "" {
-		return nil
+		return nil, true
 	}
-	cache := explore.NewCache()
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return cache
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ddt-explore: cannot read cache %s (%v); continuing cold\n", path, err)
-		return cache
-	}
-	rep, lerr := cache.LoadReported(f)
-	f.Close()
-	if lerr != nil {
+	cache = explore.NewCache()
+	rep, err := cache.LoadFileFS(fs, path)
+	switch {
+	case errors.Is(err, os.ErrNotExist):
+		return cache, true
+	case errors.Is(err, explore.ErrNotCache):
 		aside := corruptAside(path)
-		fmt.Fprintf(os.Stderr, "ddt-explore: cache %s is unusable (%v); moving it aside and continuing cold\n", path, lerr)
+		fmt.Fprintf(os.Stderr, "ddt-explore: cache %s is unusable (%v); moving it aside and continuing cold\n", path, err)
 		if rerr := os.Rename(path, aside); rerr != nil {
 			fmt.Fprintf(os.Stderr, "ddt-explore: could not move the unusable cache aside: %v\n", rerr)
 		} else {
 			fmt.Fprintf(os.Stderr, "ddt-explore: unusable cache preserved at %s\n", aside)
 		}
-		return explore.NewCache()
+		return explore.NewCache(), true
+	case err != nil:
+		fmt.Fprintf(os.Stderr, "ddt-explore: cannot read cache %s (%v); continuing cold and leaving the file untouched: this run saves nothing to it\n", path, err)
+		return explore.NewCache(), false
 	}
 	for _, s := range rep.Dropped {
 		fmt.Fprintf(os.Stderr, "ddt-explore: cache section %q failed its checksum and was dropped; its work will be recomputed\n", s)
@@ -764,7 +776,7 @@ func loadCache(path string) *explore.Cache {
 	stats := cache.Stats()
 	fmt.Fprintf(os.Stderr, "loaded %d cached simulations (%d access streams, %d role lanes, %d reuse profiles, %d lane profiles) from %s\n",
 		stats.Entries, stats.Streams, stats.Lanes, stats.ReuseProfiles, stats.LaneProfiles, path)
-	return cache
+	return cache, true
 }
 
 // corruptAside picks the path an unusable cache is preserved at:
@@ -786,13 +798,19 @@ func corruptAside(path string) string {
 // (-replay-cache). The write is atomic and durable (temp file in the
 // destination directory, fsync, rename, directory fsync, bounded
 // retries), so an interrupt or crash mid-save can never destroy the
-// previous cache.
+// previous cache. A file that already holds exactly this cache is not
+// rewritten; the report line is the same either way, since the file
+// holds what it describes.
 func saveCache(path string, cache *explore.Cache, withStreams bool) error {
 	if path == "" || cache == nil {
 		return nil
 	}
-	if err := cache.SaveFile(path, withStreams); err != nil {
+	wrote, err := cache.SaveFileReported(path, withStreams)
+	if err != nil {
 		return err
+	}
+	if !wrote {
+		fmt.Fprintf(os.Stderr, "cache %s is unchanged; not rewritten\n", path)
 	}
 	stats := cache.Stats()
 	if withStreams {

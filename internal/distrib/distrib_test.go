@@ -247,10 +247,15 @@ func TestDistributedFrontMatchesSingleProcess(t *testing.T) {
 			scripts: map[int]faultScript{
 				0: func(c *faultio.Conn, attempt int) net.Conn {
 					if attempt == 1 {
-						// Hang reading the first lease response: the
-						// lease is granted coordinator-side but the
-						// worker never works it — a partitioned peer.
-						return c.HangN(faultio.ConnRead, 2)
+						// Hang writing the first results report: the
+						// lease is granted and worked, but never
+						// settled — a peer partitioned mid-shard. The
+						// hang matches the frame header, not a call
+						// count, because how many reads or writes a
+						// frame takes depends on the transport.
+						return c.HangWriteWhen(func(p []byte) bool {
+							return len(p) == frameHeaderLen && p[0] == msgResults
+						})
 					}
 					return c
 				},

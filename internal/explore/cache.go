@@ -37,6 +37,7 @@ import (
 //   - Profiles: dominance profiling attributes accesses per container
 //     role, which is platform-invariant, so a sweep profiles each
 //     network configuration once rather than once per platform point.
+//     Every save persists them, so a warm rerun profiles nothing.
 //   - Compositional stores (Options.Compose): per-(role, kind) lane
 //     sub-streams and per-configuration operation schedules, keyed by
 //     the DDT-invariant run identity. Any combination whose K lanes are
@@ -125,6 +126,18 @@ type Cache struct {
 	streamHits, streamMisses atomic.Uint64
 	laneHits, laneMisses     atomic.Uint64
 	rprofHits, rprofMisses   atomic.Uint64
+
+	// gen is bumped by every change to persisted state: a stored or
+	// merged entry, an invalidation, a budget eviction that drops
+	// something, a changed checkpoint. drops counts loaded or retained
+	// items discarded (filtered on merge, evicted). Together with clean
+	// — the file last loaded completely or saved, at which generation —
+	// they let SaveFile skip rewriting a file that already holds the
+	// cache.
+	gen    atomic.Uint64
+	drops  atomic.Uint64
+	fileMu sync.Mutex
+	clean  *cleanFile
 }
 
 // cacheEntry is one memoized simulation. Ctx tags tombstones with the
@@ -283,6 +296,7 @@ func (c *Cache) invalidate(key string) bool {
 	_, ok := c.m[key]
 	if ok {
 		delete(c.m, key)
+		c.gen.Add(1)
 	}
 	c.mu.Unlock()
 	return ok
@@ -295,6 +309,7 @@ func (c *Cache) store(key string, r Result, ctx string) {
 	c.mu.Lock()
 	c.m[key] = e
 	c.mu.Unlock()
+	c.gen.Add(1)
 }
 
 // lookupLane returns the complete lane sub-stream for a (role, kind)
@@ -329,6 +344,7 @@ func (c *Cache) storeLane(key string, s *astream.SubStream) {
 	}
 	c.lanes[key] = s
 	c.streamBytes += int64(s.SizeBytes())
+	c.gen.Add(1)
 	c.evictLocked()
 }
 
@@ -404,6 +420,7 @@ func (c *Cache) storeReuseProfile(key string, p *memsim.ReuseProfile) {
 	}
 	c.rprofiles[key] = p
 	c.streamBytes += int64(p.SizeBytes())
+	c.gen.Add(1)
 	c.evictLocked()
 }
 
@@ -438,6 +455,7 @@ func (c *Cache) storeLaneProfile(key string, p *memsim.ReuseProfile) {
 	}
 	c.lprofiles[key] = p
 	c.streamBytes += int64(p.SizeBytes())
+	c.gen.Add(1)
 	c.evictLocked()
 }
 
@@ -525,6 +543,7 @@ func (c *Cache) storeSchedule(key string, e schedEntry) {
 	e.Summary = cloneSummary(e.Summary)
 	c.scheds[key] = e
 	c.streamBytes += e.sizeBytes()
+	c.gen.Add(1)
 	c.evictLocked()
 }
 
@@ -551,6 +570,7 @@ func (c *Cache) storeRun(key string, id streamEntry, e schedEntry) {
 	c.runs[key] = id
 	c.runOrder = append(c.runOrder, key)
 	c.streamBytes += e.sizeBytes()
+	c.gen.Add(1)
 	c.evictLocked()
 }
 
@@ -605,12 +625,19 @@ func (c *Cache) evictLocked() {
 			delete(c.sprofiles, key)
 		}
 	}
+	// Sampled profiles are never persisted; every later tier is, so
+	// dropping from it changes what a save would write.
+	dropped := func() {
+		c.gen.Add(1)
+		c.drops.Add(1)
+	}
 	for c.streamBytes > c.streamBudget && len(c.lprofOrder) > 0 {
 		key := c.lprofOrder[0]
 		c.lprofOrder = c.lprofOrder[1:]
 		if p, ok := c.lprofiles[key]; ok {
 			c.streamBytes -= int64(p.SizeBytes())
 			delete(c.lprofiles, key)
+			dropped()
 		}
 	}
 	for c.streamBytes > c.streamBudget && len(c.runOrder) > 0 {
@@ -619,6 +646,7 @@ func (c *Cache) evictLocked() {
 		c.streamBytes -= c.scheds[key].sizeBytes()
 		delete(c.scheds, key)
 		delete(c.runs, key)
+		dropped()
 	}
 	for c.streamBytes > c.streamBudget && len(c.laneOrder) > 0 {
 		key := c.laneOrder[0]
@@ -626,6 +654,7 @@ func (c *Cache) evictLocked() {
 		if s, ok := c.lanes[key]; ok {
 			c.streamBytes -= int64(s.SizeBytes())
 			delete(c.lanes, key)
+			dropped()
 			if u, ok := c.unpacked[key]; ok {
 				c.streamBytes -= int64(u.SizeBytes())
 				delete(c.unpacked, key)
@@ -638,6 +667,7 @@ func (c *Cache) evictLocked() {
 		if p, ok := c.rprofiles[key]; ok {
 			c.streamBytes -= int64(p.SizeBytes())
 			delete(c.rprofiles, key)
+			dropped()
 		}
 	}
 	if len(c.runOrder) == 0 {
@@ -666,7 +696,8 @@ func (c *Cache) lookupProfile(key string) *profiler.Set {
 	return c.profiles[key]
 }
 
-// storeProfile memoizes a dominance profile.
+// storeProfile memoizes a dominance profile; saves persist it, so a
+// warm rerun's profiling sub-step runs nothing.
 func (c *Cache) storeProfile(key string, p *profiler.Set) {
 	c.pm.Lock()
 	if c.profiles == nil {
@@ -674,13 +705,15 @@ func (c *Cache) storeProfile(key string, p *profiler.Set) {
 	}
 	c.profiles[key] = p
 	c.pm.Unlock()
+	c.gen.Add(1)
 }
 
-// Save serializes the cached results to w (gob), without the access
-// streams; use SaveWithStreams to persist those too. Counters are not
-// saved.
+// Save serializes the cached results and dominance profiles to w,
+// without the access streams; use SaveWithStreams to persist those too.
+// Counters are not saved.
 func (c *Cache) Save(w io.Writer) error {
-	return c.save(w, false)
+	_, err := c.save(w, false)
+	return err
 }
 
 // SaveWithStreams serializes the cached results and the retained access
@@ -688,7 +721,8 @@ func (c *Cache) Save(w io.Writer) error {
 // schedules — so a later process can replay new platform points or
 // compose new combinations without re-executing anything.
 func (c *Cache) SaveWithStreams(w io.Writer) error {
-	return c.save(w, true)
+	_, err := c.save(w, true)
+	return err
 }
 
 // save and Load live in cache_io.go: the sectioned v4 format with

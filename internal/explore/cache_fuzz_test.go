@@ -7,13 +7,15 @@ import (
 	"testing"
 
 	"repro/internal/memsim"
+	"repro/internal/profiler"
 )
 
 // fuzzSeedImages builds the v4 encodings Load accepts: lean and with
 // streams from a cache holding an entry of every persisted kind, a
-// composition-only image (lanes and schedules), and a file written
-// before whole-run streams became one-lane captures (its retired
-// streams section is skipped on load).
+// composition-only image (lanes and schedules), an image with every
+// section of the current layout, and a file written before whole-run
+// streams became one-lane captures (its retired streams section is
+// skipped on load; its lanes and schedules are in the gob layout).
 func fuzzSeedImages(tb testing.TB) [][]byte {
 	tb.Helper()
 	gs, err := memsim.NewGeomSim([]memsim.Config{memsim.DefaultConfig()})
@@ -51,11 +53,24 @@ func fuzzSeedImages(tb testing.TB) [][]byte {
 		tb.Fatal(err)
 	}
 
+	// Every section the current layout writes, non-empty: raw-chunk
+	// lanes and schedules, lane and dominance profiles, a checkpoint.
+	cp := NewCache()
+	cp.storeSchedule("sched", sched)
+	cp.storeLane("lane", lane)
+	cp.storeLaneProfile(laneProfileKey("lane", prof.LineBytes), prof)
+	cp.storeProfile("URL|cfg|300", profiler.FromProbes([]profiler.Probe{{Role: "r", Ops: 2, ReadWords: 5, WriteWords: 1}}))
+	cp.SetCheckpoint(Checkpoint{App: "URL", Ctx: "prune=1 k=2", Settled: 7, Done: true})
+	var profiled bytes.Buffer
+	if err := cp.SaveWithStreams(&profiled); err != nil {
+		tb.Fatal(err)
+	}
+
 	parent, err := os.ReadFile(filepath.Join("testdata", "parent_v4_streams.simcache"))
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return [][]byte{lean.Bytes(), full.Bytes(), composed.Bytes(), parent}
+	return [][]byte{lean.Bytes(), full.Bytes(), composed.Bytes(), profiled.Bytes(), parent}
 }
 
 // FuzzCacheLoad throws arbitrary bytes — seeded with every real cache

@@ -1,6 +1,8 @@
 package explore
 
 import (
+	"reflect"
+
 	"repro/internal/pareto"
 )
 
@@ -40,7 +42,10 @@ type Checkpoint struct {
 	// front; step-2 snapshots keep the step-1 survivor front, since
 	// step-2 fronts are per-configuration and rebuild from cache).
 	Front []pareto.Point
-	// Stats are the engine work counters at the snapshot.
+	// Stats are the engine work counters at the snapshot. A terminal
+	// checkpoint keeps the counters of the first run that completed the
+	// campaign: a warm rerun that changes nothing else leaves the
+	// stored checkpoint as it is (see Cache.SetCheckpoint).
 	Stats EngineStats
 	// Dist carries distributed-campaign bookkeeping when the snapshot
 	// was taken by a coordinator: per-worker lease and cache-entry
@@ -127,13 +132,24 @@ func (d *DistState) Clone() *DistState {
 }
 
 // SetCheckpoint stores a defensive copy of ck as the cache's campaign
-// checkpoint; SaveFile persists it as its own section.
+// checkpoint; SaveFile persists it as its own section. A checkpoint
+// equal to the stored one in everything but Stats changes nothing: the
+// stored one, counters included, stays. So a warm rerun of a finished
+// campaign, which only re-counts cache hits, leaves the cache unchanged.
 func (c *Cache) SetCheckpoint(ck Checkpoint) {
 	ck.Front = append([]pareto.Point(nil), ck.Front...)
 	ck.Dist = ck.Dist.Clone()
 	c.ckMu.Lock()
+	defer c.ckMu.Unlock()
+	if c.ckpt != nil {
+		old := *c.ckpt
+		old.Stats = ck.Stats
+		if reflect.DeepEqual(old, ck) {
+			return
+		}
+	}
 	c.ckpt = &ck
-	c.ckMu.Unlock()
+	c.gen.Add(1)
 }
 
 // Checkpoint returns a copy of the cache's campaign checkpoint, if one

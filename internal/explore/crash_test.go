@@ -197,15 +197,20 @@ const endFrameID = 0xFF
 
 // frameSectionNames mirrors the on-disk section ids; values are part
 // of the format and pinned here against accidental renumbering. Id 2
-// (whole-run streams) is retired: savers never write it.
+// (whole-run streams) is retired: savers never write it. Ids 3 and 4
+// (gob-layout lanes and schedules) are still read but no longer
+// written; ids 9 and 10 replaced them.
 var frameSectionNames = map[byte]string{
-	1: "results",
-	3: "lanes",
-	4: "schedules",
-	5: "reuse-profiles",
-	6: "lane-profiles",
-	7: "checkpoint",
-	8: "run-identities",
+	1:  "results",
+	3:  "lanes",
+	4:  "schedules",
+	5:  "reuse-profiles",
+	6:  "lane-profiles",
+	7:  "checkpoint",
+	8:  "run-identities",
+	9:  "lanes",
+	10: "schedules",
+	11: "profiles",
 }
 
 // parseCacheFrames walks a sectioned cache image frame by frame.

@@ -59,6 +59,7 @@ type Conn struct {
 	hangOp   ConnOp
 	hangN    int // 0: no hang armed
 	hangCh   chan struct{}
+	hangW    func(p []byte) bool // nil: no write-matching hang armed
 	injected int
 }
 
@@ -117,6 +118,19 @@ func (c *Conn) HangN(op ConnOp, n int) *Conn {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.hangOp, c.hangN = op, n
+	c.hangCh = make(chan struct{})
+	return c
+}
+
+// HangWriteWhen arms a hang on content rather than call count: the
+// first Write whose buffer satisfies match blocks until ReleaseHang,
+// then proceeds normally. A protocol that writes each frame header in
+// one call can so hang a chosen frame — say, the first of a given
+// message type — however the frames before it were split into calls.
+func (c *Conn) HangWriteWhen(match func(p []byte) bool) *Conn {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.hangW = match
 	c.hangCh = make(chan struct{})
 	return c
 }
@@ -211,6 +225,17 @@ func (c *Conn) Read(p []byte) (int, error) {
 
 // Write implements net.Conn with the armed faults.
 func (c *Conn) Write(p []byte) (int, error) {
+	c.mu.Lock()
+	var hang chan struct{}
+	if c.hangW != nil && c.hangW(p) {
+		c.hangW = nil
+		hang = c.hangCh
+		c.injected++
+	}
+	c.mu.Unlock()
+	if hang != nil {
+		<-hang
+	}
 	if err := c.enter(ConnWrite); err != nil {
 		return 0, err
 	}

@@ -215,6 +215,57 @@ func TestConnHangAndRelease(t *testing.T) {
 	}
 }
 
+func TestConnHangWriteWhenMatchesContent(t *testing.T) {
+	c, peer := pipe(t)
+	c.HangWriteWhen(func(p []byte) bool { return len(p) > 0 && p[0] == 'R' })
+	got := make(chan string, 4)
+	go func() {
+		buf := make([]byte, 16)
+		for {
+			n, err := peer.Read(buf)
+			if err != nil {
+				return
+			}
+			got <- string(buf[:n])
+		}
+	}()
+	for _, msg := range []string{"hello", "lease"} {
+		if _, err := c.Write([]byte(msg)); err != nil {
+			t.Fatal(err)
+		}
+		if s := <-got; s != msg {
+			t.Fatalf("peer read %q, want %q", s, msg)
+		}
+	}
+	wrote := make(chan error, 1)
+	go func() {
+		_, err := c.Write([]byte("Results"))
+		wrote <- err
+	}()
+	select {
+	case err := <-wrote:
+		t.Fatalf("matching write completed while hung (err=%v)", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	c.ReleaseHang()
+	if err := <-wrote; err != nil {
+		t.Fatalf("write after release: %v", err)
+	}
+	if s := <-got; s != "Results" {
+		t.Fatalf("peer read %q after release", s)
+	}
+	// The hang is one-shot: a second matching write passes.
+	go c.Write([]byte("Results again"))
+	select {
+	case <-got:
+	case <-time.After(2 * time.Second):
+		t.Fatal("second matching write hung")
+	}
+	if c.Injected() != 1 {
+		t.Fatalf("Injected = %d, want 1", c.Injected())
+	}
+}
+
 func TestConnListenerWraps(t *testing.T) {
 	inner, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -64,6 +64,13 @@ type ReadFS interface {
 	Open(name string) (ReadFile, error)
 }
 
+// StatFS is the optional stat side of an FS. Persistence code uses it
+// to tell whether a file changed since it was last read or written; an
+// FS without it is assumed to have changed.
+type StatFS interface {
+	Stat(name string) (os.FileInfo, error)
+}
+
 // OS is the real filesystem.
 type OS struct{}
 
@@ -85,6 +92,11 @@ func (OS) Remove(name string) error {
 // Open implements ReadFS via os.Open.
 func (OS) Open(name string) (ReadFile, error) {
 	return os.Open(name)
+}
+
+// Stat implements StatFS via os.Stat.
+func (OS) Stat(name string) (os.FileInfo, error) {
+	return os.Stat(name)
 }
 
 // SyncDir fsyncs a directory so a completed rename survives power loss.
@@ -367,6 +379,16 @@ func (ifs *InjectFS) Open(name string) (ReadFile, error) {
 		return nil, err
 	}
 	return &injectReadFile{f: f, ifs: ifs}, nil
+}
+
+// Stat implements StatFS by passing through to the wrapped FS; no fault
+// is injected into stats.
+func (ifs *InjectFS) Stat(name string) (os.FileInfo, error) {
+	sfs, ok := ifs.FS.(StatFS)
+	if !ok {
+		return nil, fmt.Errorf("faultio: wrapped FS %T cannot stat files", ifs.FS)
+	}
+	return sfs.Stat(name)
 }
 
 // CreateTemp implements FS, wrapping the created file with the armed

@@ -58,6 +58,29 @@ func (s *Set) Probe(role string) *Probe {
 	return p
 }
 
+// Probes returns copies of the probes in the order their roles were
+// first seen — the form a Set is persisted in.
+func (s *Set) Probes() []Probe {
+	out := make([]Probe, len(s.probes))
+	for i, p := range s.probes {
+		out[i] = *p
+	}
+	return out
+}
+
+// FromProbes rebuilds a set from probes in first-seen order, as Probes
+// returned them; a repeated role accumulates into one probe.
+func FromProbes(probes []Probe) *Set {
+	s := NewSet()
+	for _, q := range probes {
+		p := s.Probe(q.Role)
+		p.Ops += q.Ops
+		p.ReadWords += q.ReadWords
+		p.WriteWords += q.WriteWords
+	}
+	return s
+}
+
 // Ranked returns all probes ordered by descending access volume, ties
 // broken by role name for determinism.
 func (s *Set) Ranked() []*Probe {
