@@ -129,6 +129,15 @@ func (m Methodology) RunContext(ctx context.Context) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The original implementation, for the headline comparison. Simulated
+	// right after step 1 so a composing engine serves it from the
+	// reference lanes step 1 just captured, before step 2's captures can
+	// evict them: whether it runs live then never depends on eviction
+	// timing.
+	orig, err := eng.Simulate(ctx, reference, apps.Original(m.App))
+	if err != nil {
+		return nil, err
+	}
 	s2, err := eng.Step2(ctx, s1, configs)
 	if err != nil {
 		return nil, err
@@ -191,10 +200,6 @@ func (m Methodology) RunContext(ctx context.Context) (*Report, error) {
 	}
 
 	// Headline comparison against the original implementation.
-	orig, err := eng.Simulate(ctx, reference, apps.Original(m.App))
-	if err != nil {
-		return nil, err
-	}
 	r.Original = orig
 	r.BestEnergy = pareto.Best(refFront, metrics.Energy)
 	r.BestTime = pareto.Best(refFront, metrics.Time)
@@ -208,8 +213,9 @@ func (m Methodology) RunContext(ctx context.Context) (*Report, error) {
 // configuration coverage enter the averaging: under early abort a
 // combination may lack samples for exactly the configurations it was
 // worst on, and averaging over the remainder would bias it low enough to
-// falsely join (or reshape) the front. With early abort off every
-// combination has full coverage and nothing is skipped.
+// falsely join (or reshape) the front. Step 2 never bound-prunes, so
+// coverage is complete — and nothing is skipped — unless early abort is
+// on.
 func crossConfigFront(results []explore.Result, roles []string) []pareto.Point {
 	sums := make(map[string]metrics.Vector)
 	counts := make(map[string]int)

@@ -148,6 +148,37 @@ func (e *Engine) newBBSearcher(ref Config, dominant []string, guard *frontGuard)
 	}
 	cfg := e.opts.platformConfig()
 	lineBytes := memsim.EffectiveLineBytes(cfg)
+	level := make(map[string]int, len(dominant))
+	for i, role := range dominant {
+		level[role] = i
+	}
+	// Check every table entry can be had before deriving any: a search
+	// that would fail on an evicted lane must not leave freshly derived
+	// profiles behind, or every rerun would find the cache changed.
+	ready := func(key string) bool {
+		pkey := laneProfileKey(key, lineBytes)
+		if _, ok := e.laneBounds.Load(pkey); ok {
+			return true
+		}
+		if p := e.cache.lookupLaneProfile(pkey); p != nil && p.Covers(cfg) {
+			return true
+		}
+		return e.cache.captured(key)
+	}
+	if !ready(sk) {
+		return nil, false
+	}
+	for _, role := range sched.Roles {
+		kinds := []ddt.Kind{apps.KindFor(nil, role)}
+		if _, isDominant := level[role]; isDominant {
+			kinds = ddt.AllKinds()
+		}
+		for _, kind := range kinds {
+			if !ready(laneKey(app, ref, packets, role, kind)) {
+				return nil, false
+			}
+		}
+	}
 	baseAcc, ok := e.laneBoundFor(laneProfileKey(sk, lineBytes), cfg, func() (*astream.UnpackedLane, bool) {
 		return e.cache.unpackedLane(sk, ambient, true)
 	})
@@ -163,10 +194,6 @@ func (e *Engine) newBBSearcher(ref Config, dominant []string, guard *frontGuard)
 			}
 			return e.cache.unpackedLane(lk, sub, false)
 		})
-	}
-	level := make(map[string]int, len(dominant))
-	for i, role := range dominant {
-		level[role] = i
 	}
 	bounds := make([][]memsim.LaneBound, len(dominant))
 	for i := range bounds {
@@ -503,10 +530,12 @@ func (e *Engine) step1BranchBound(ctx context.Context, reference Config, s1 *Ste
 		cancel()
 	}
 	sc := ckptScope{step: 1, front: guard.points}
-	land := func(o Outcome) {
+	// land records a settled combination; front says whether its result
+	// still has to enter the guard (cached leaves entered it already).
+	land := func(o Outcome, front bool) {
 		combo := comboIndex(o.Job.Assign, dominant)
 		mat = append(mat, materialized{combo: combo, res: o.Result})
-		if !o.Result.Aborted {
+		if front && !o.Result.Aborted {
 			guard.add(o.Result.Point(combo))
 		}
 		done++
@@ -532,7 +561,7 @@ func (e *Engine) step1BranchBound(ctx context.Context, reference Config, s1 *Ste
 			fail(o.Err)
 			continue
 		}
-		land(o)
+		land(o, true)
 	}
 	if firstErr != nil {
 		return firstErr
@@ -549,11 +578,19 @@ func (e *Engine) step1BranchBound(ctx context.Context, reference Config, s1 *Ste
 	// unavailable (a seed aborted before capture, cache eviction), fall
 	// back to the flat scan over the unseeded combinations; per-leaf
 	// pruneJob still applies there, only subtree cutting is lost.
+	//
+	// The searcher settles leaves the cache already answers itself, and
+	// adds their results to the front before its next pop: a warm rerun
+	// then replays the search in one fixed order, cutting at least what
+	// the run that filled the cache cut, and never reaches a leaf that
+	// run left unsettled — so it stores nothing new.
 	leafCh := make(chan bbLeaf, e.workers())
 	cutCh := make(chan int, e.workers())
+	hitCh := make(chan Outcome, e.workers())
 	go func() {
 		defer close(leafCh)
 		defer close(cutCh)
+		defer close(hitCh)
 		if !ok {
 			for combo := 0; combo < total; combo++ {
 				if skip[combo] {
@@ -569,6 +606,17 @@ func (e *Engine) step1BranchBound(ctx context.Context, reference Config, s1 *Ste
 		}
 		searcher.search(runCtx, skip,
 			func(lf bbLeaf) bool {
+				if o, ok := e.cachedLeaf(reference, lf.assign); ok {
+					if !o.Result.Aborted {
+						guard.add(o.Result.Point(lf.combo))
+					}
+					select {
+					case hitCh <- o:
+						return true
+					case <-runCtx.Done():
+						return false
+					}
+				}
 				select {
 				case leafCh <- lf:
 					return true
@@ -593,8 +641,8 @@ func (e *Engine) step1BranchBound(ctx context.Context, reference Config, s1 *Ste
 		}
 	}
 	outs := e.stream(runCtx, jobs, guardFor)
-	cuts := cutCh
-	for outs != nil || cuts != nil {
+	cuts, hits := cutCh, hitCh
+	for outs != nil || cuts != nil || hits != nil {
 		select {
 		case o, open := <-outs:
 			if !open {
@@ -605,7 +653,13 @@ func (e *Engine) step1BranchBound(ctx context.Context, reference Config, s1 *Ste
 				fail(o.Err)
 				continue
 			}
-			land(o)
+			land(o, true)
+		case o, open := <-hits:
+			if !open {
+				hits = nil
+				continue
+			}
+			land(o, false)
 		case w, open := <-cuts:
 			if !open {
 				cuts = nil
@@ -653,6 +707,22 @@ func (e *Engine) step1BranchBound(ctx context.Context, reference Config, s1 *Ste
 		}
 	}
 	return nil
+}
+
+// cachedLeaf answers a reference-configuration leaf from the cache —
+// a finished result or a tombstone of this exploration — the way
+// runJobExact's first lookup would.
+func (e *Engine) cachedLeaf(ref Config, assign apps.Assignment) (Outcome, bool) {
+	key := cacheKey(e.app.Name(), ref, assign, e.opts.packets(), e.opts.platformConfig(), e.opts.Arenas)
+	r, ok := e.cache.lookup(key, true, e.exploreCtx)
+	if !ok {
+		return Outcome{}, false
+	}
+	e.cacheHits.Add(1)
+	return Outcome{
+		Job: Job{Cfg: ref, Assign: assign}, Result: r,
+		FromCache: true, Aborted: r.Aborted, Pruned: r.Pruned,
+	}, true
 }
 
 // assignFromCombo decodes a combination index into the assignment of the

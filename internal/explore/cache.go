@@ -588,6 +588,19 @@ func (c *Cache) runEntries() []runEntry {
 	return out
 }
 
+// captured reports whether the complete schedule entry or lane
+// sub-stream stored under key is retained, without touching the
+// hit/miss counters.
+func (c *Cache) captured(key string) bool {
+	c.sm.RLock()
+	defer c.sm.RUnlock()
+	if s, ok := c.lanes[key]; ok {
+		return !s.Partial
+	}
+	e, ok := c.scheds[key]
+	return ok && !e.Ambient.Partial
+}
+
 // has reports whether a finished (non-tombstone) result exists for key,
 // without touching the hit/miss counters.
 func (c *Cache) has(key string) bool {
@@ -769,16 +782,33 @@ func laneProfileKey(base string, lineBytes uint32) string {
 	return fmt.Sprintf("%s|lprof|%d", base, lineBytes)
 }
 
+// runID is the DDT-invariant run identity — application, configuration,
+// trace length — that lane and schedule keys extend. Callers building
+// several keys of one run format it once.
+type runID string
+
+func newRunID(app string, cfg Config, packets int) runID {
+	return runID(fmt.Sprintf("%s|%s|%d|", app, cfg, packets))
+}
+
+// lane is laneKey under this run identity.
+func (r runID) lane(role string, kind ddt.Kind) string {
+	return string(r) + "lane|" + role + "=" + kind.String()
+}
+
+// sched is schedKey under this run identity.
+func (r runID) sched() string { return string(r) + "sched" }
+
 // laneKey identifies one (role, kind) lane sub-stream: the DDT-invariant
 // run identity plus the single role and the kind implementing it. Lane
 // capture always runs arena-mode, so no address-model marker is needed.
 func laneKey(app string, cfg Config, packets int, role string, kind ddt.Kind) string {
-	return fmt.Sprintf("%s|%s|%d|lane|%s=%s", app, cfg, packets, role, kind)
+	return newRunID(app, cfg, packets).lane(role, kind)
 }
 
 // schedKey identifies a configuration's DDT-invariant schedule entry.
 func schedKey(app string, cfg Config, packets int) string {
-	return fmt.Sprintf("%s|%s|%d|sched", app, cfg, packets)
+	return newRunID(app, cfg, packets).sched()
 }
 
 // cloneSummary deep-copies a behavioural summary.

@@ -98,6 +98,12 @@ type Engine struct {
 	opts Options
 
 	cache *Cache
+	// roles names the application's container roles in lane order: the
+	// lanes a composition needs besides the ambient one.
+	roles []string
+	// claims registers the compositional pieces live runs are capturing
+	// right now (see captureClaims).
+	claims captureClaims
 	// exploreCtx tags this engine's exploration semantics for dominance
 	// tombstones: a tombstone proven under one prune mode / dominant-k is
 	// only reused by engines exploring the identical job space.
@@ -183,6 +189,7 @@ func NewEngine(a apps.App, opts Options) *Engine {
 	e := &Engine{
 		app:        a,
 		opts:       opts,
+		roles:      apps.RoleNames(a),
 		exploreCtx: ctx,
 		pruneOK:    memsim.BoundEligible(opts.platformConfig()),
 		model:      energy.CACTILike(opts.platformConfig()),
@@ -327,6 +334,10 @@ type frontGuard struct {
 	// sampled front cuts a point only when its PESSIMISTIC interval end
 	// still dominates. nil on exact fronts.
 	memberSlack func() float64
+	// abortOnly marks a guard that serves early abort alone: the
+	// bound-guided search never consults it. Step 2 runs such guards,
+	// so every survivor keeps full configuration coverage.
+	abortOnly bool
 }
 
 func newFrontGuard(margin float64) *frontGuard {
@@ -391,6 +402,7 @@ type indexedJob struct {
 	idx   int
 	job   Job
 	guard *frontGuard
+	plan  *capturePlan
 }
 
 // Stream schedules the jobs over the bounded worker pool and returns the
@@ -406,31 +418,47 @@ func (e *Engine) Stream(ctx context.Context, jobs iter.Seq[Job]) <-chan Outcome 
 // stream is Stream plus the per-job early-abort guard hookup used by the
 // methodology steps. guardFor is called from the feeder goroutine only.
 func (e *Engine) stream(ctx context.Context, jobs iter.Seq[Job], guardFor func(Job) *frontGuard) <-chan Outcome {
-	return e.streamMode(ctx, jobs, guardFor, false)
+	return e.streamMode(ctx, enumerate(jobs), guardFor, false)
 }
 
-// streamMode is stream with the screening switch: screen routes every
-// job through the sampled phase-one path first (screenJob). The flag is
-// per-stream, not engine state, so a screening phase and an exact
-// verification phase of the same engine can overlap safely.
-func (e *Engine) streamMode(ctx context.Context, jobs iter.Seq[Job], guardFor func(Job) *frontGuard, screen bool) <-chan Outcome {
+// enumerate tags each job with its position in the sequence, the index
+// its outcome reports.
+func enumerate(jobs iter.Seq[Job]) iter.Seq2[int, Job] {
+	return func(yield func(int, Job) bool) {
+		i := 0
+		for jb := range jobs {
+			if !yield(i, jb) {
+				return
+			}
+			i++
+		}
+	}
+}
+
+// streamMode is stream with explicit outcome indexes and the screening
+// switch: screen routes every job through the sampled phase-one path
+// first (screenJob). The flag is per-stream, not engine state, so a
+// screening phase and an exact verification phase of the same engine
+// can overlap safely. The feeder claims each composing job's missing
+// captures in dispatch order (feedClaim).
+func (e *Engine) streamMode(ctx context.Context, jobs iter.Seq2[int, Job], guardFor func(Job) *frontGuard, screen bool) <-chan Outcome {
 	out := make(chan Outcome)
 	feed := make(chan indexedJob)
 
 	go func() { // feeder: lazily expands the job space
 		defer close(feed)
-		i := 0
-		for jb := range jobs {
+		for i, jb := range jobs {
 			ij := indexedJob{idx: i, job: jb}
 			if guardFor != nil {
 				ij.guard = guardFor(jb)
 			}
+			ij.plan = e.feedClaim(jb)
 			select {
 			case feed <- ij:
 			case <-ctx.Done():
+				e.releaseCapture(ij.plan) // never dispatched: wake its waiters
 				return
 			}
-			i++
 		}
 	}()
 
@@ -440,7 +468,7 @@ func (e *Engine) streamMode(ctx context.Context, jobs iter.Seq[Job], guardFor fu
 		go func() {
 			defer wg.Done()
 			for ij := range feed {
-				o := e.runJobMode(ij.idx, ij.job, ij.guard, screen)
+				o := e.runJobMode(ij.idx, ij.job, ij.guard, ij.plan, screen)
 				select {
 				case out <- o:
 				case <-ctx.Done():
@@ -459,30 +487,33 @@ func (e *Engine) streamMode(ctx context.Context, jobs iter.Seq[Job], guardFor fu
 // runJob resolves one job along the cheapest sound path: exact-key cache
 // lookup, then the bound-guided prune check (BoundPrune: zero replays
 // when the front already dominates the combination's admissible lower
-// bound), then composition of cached per-role sub-streams (Compose),
-// then replay of a whole-run capture (a one-lane composed stream) for
-// the same platform-invariant identity, then a (possibly guarded) live
+// bound), then composition of cached per-role sub-streams (Compose) —
+// waiting for in-flight captures of missing ones — then replay of a
+// whole-run capture (a one-lane composed stream) for the same
+// platform-invariant identity, then a (possibly guarded) live
 // simulation — which records whatever capture mode is on, so later
 // jobs take a cheaper path. All paths fill the cache.
 func (e *Engine) runJob(idx int, jb Job, guard *frontGuard) Outcome {
-	return e.runJobMode(idx, jb, guard, false)
+	return e.runJobMode(idx, jb, guard, nil, false)
 }
 
-// runJobMode is runJob with the screening switch: when screen is set
-// the job is first offered to the sampled phase-one path, and only
-// falls through to the exact body when screening cannot answer it
-// (lanes not yet captured — such a job is one of the ~10·K seed
-// executions, and its exact result seeds the screening front with zero
-// slack). Fallen-through results are mirrored under the rate-tagged
-// key so a warm screening run never falls through again.
-func (e *Engine) runJobMode(idx int, jb Job, guard *frontGuard, screen bool) Outcome {
+// runJobMode is runJob with the dispatch-time capture plan and the
+// screening switch: when screen is set the job is first offered to the
+// sampled phase-one path, and only falls through to the exact body when
+// screening cannot answer it (lanes not yet captured — such a job is
+// one of the ~10·K seed executions, and its exact result seeds the
+// screening front with zero slack). Fallen-through results are
+// mirrored under the rate-tagged key so a warm screening run never
+// falls through again.
+func (e *Engine) runJobMode(idx int, jb Job, guard *frontGuard, plan *capturePlan, screen bool) Outcome {
 	if !screen {
-		return e.runJobExact(idx, jb, guard)
+		return e.runJobExact(idx, jb, guard, plan)
 	}
 	if o, ok := e.screenJob(idx, jb, guard); ok {
+		e.releaseCapture(plan)
 		return o
 	}
-	o := e.runJobExact(idx, jb, guard)
+	o := e.runJobExact(idx, jb, guard, plan)
 	if e.cache != nil && o.Err == nil && !o.Result.Aborted {
 		key := screenKey(cacheKey(e.app.Name(), jb.Cfg, jb.Assign, e.opts.packets(), e.opts.platformConfig(), e.opts.Arenas), e.sampleShift)
 		e.cache.store(key, o.Result, e.screenCtx)
@@ -491,14 +522,19 @@ func (e *Engine) runJobMode(idx int, jb Job, guard *frontGuard, screen bool) Out
 }
 
 // runJobExact is the exact resolution chain every non-screening job —
-// and every screening seed — goes through.
-func (e *Engine) runJobExact(idx int, jb Job, guard *frontGuard) Outcome {
+// and every screening seed — goes through. plan is the job's capture
+// claim from dispatch (nil when it was not dispatched by a stream, or
+// needed nothing); the job releases whatever claim it holds on return,
+// after its live run has stored its capture.
+func (e *Engine) runJobExact(idx int, jb Job, guard *frontGuard, plan *capturePlan) Outcome {
+	defer func() { e.releaseCapture(plan) }()
 	o := Outcome{Index: idx, Job: jb}
 	var key, skey string
-	compose := e.opts.Compose && e.cache != nil
+	compose := e.composing()
 	// The guard serves two roles: early abort polls it mid-simulation
 	// (EarlyAbort only), the bound-guided search consults it before any
-	// replay (BoundPrune only). aguard is the abort-side view.
+	// replay (BoundPrune only, never on an abort-only guard). aguard is
+	// the abort-side view.
 	aguard := guard
 	if !e.opts.EarlyAbort {
 		aguard = nil
@@ -516,13 +552,33 @@ func (e *Engine) runJobExact(idx int, jb Job, guard *frontGuard) Outcome {
 			o.Pruned = r.Pruned
 			return o
 		}
-		if guard != nil && e.boundPruneActive() && e.pruneJob(&o, jb, guard) {
-			e.cache.store(key, o.Result, e.exploreCtx) // a tombstone, like aborted results
-			return o
+		prune := guard != nil && !guard.abortOnly && e.boundPruneActive()
+		for {
+			if prune && e.pruneJob(&o, jb, guard) {
+				e.cache.store(key, o.Result, e.exploreCtx) // a tombstone, like aborted results
+				return o
+			}
+			if !compose || plan != nil && len(plan.own) > 0 {
+				// A claim from dispatch: nobody else captures these pieces,
+				// so run live even if composition became possible since.
+				break
+			}
+			if e.composeJob(&o, jb, aguard) {
+				e.cache.store(key, o.Result, e.exploreCtx)
+				return o
+			}
+			// Something is missing. A dispatch-time plan that waits on
+			// in-flight captures waits once and retries; anything else
+			// runs live. Only dispatch-time plans wait: their owners are
+			// already on workers, so the wait always ends.
+			if plan == nil {
+				break
+			}
+			plan.await()
+			plan = nil
 		}
-		if compose && e.composeJob(&o, jb, aguard) {
-			e.cache.store(key, o.Result, e.exploreCtx)
-			return o
+		if compose && plan == nil {
+			plan = e.claimCapture(jb) // claim what the live run captures
 		}
 		if e.opts.CaptureStreams && !compose {
 			skey = streamKey(e.app.Name(), jb.Cfg, jb.Assign, e.opts.packets(), e.opts.Arenas)
@@ -1336,6 +1392,16 @@ func (e *Engine) Step1(ctx context.Context, reference Config) (*Step1Result, err
 // compete within their own configuration, exactly as step 3 charts them).
 // Reference-configuration results propagate from step 1 — via the cache
 // when it is warm, and by construction here regardless.
+//
+// Step 2 does not bound-prune: BoundPrune is a step-1 mechanism. Every
+// survivor therefore has an exact result on every configuration unless
+// EarlyAbort stops some, and step 3's cross-configuration averages are
+// complete. A composing engine dispatches configuration by
+// configuration, each starting with its lane cover (step2Order): those
+// live runs capture every lane the configuration's remaining jobs
+// compose from, and the remaining jobs wait for in-flight captures
+// instead of running live. Results keep the survivors x configurations
+// layout whatever the dispatch order.
 func (e *Engine) Step2(ctx context.Context, s1 *Step1Result, configs []Config) (*Step2Result, error) {
 	ref := s1.Reference.String()
 	var streamed []Config
@@ -1345,16 +1411,20 @@ func (e *Engine) Step2(ctx context.Context, s1 *Step1Result, configs []Config) (
 			continue
 		}
 		streamed = append(streamed, cfg)
-		if e.guarded() {
-			guards[cfg.String()] = newFrontGuard(e.opts.abortMargin())
+		if e.opts.EarlyAbort {
+			g := newFrontGuard(e.opts.abortMargin())
+			g.abortOnly = true
+			guards[cfg.String()] = g
 		}
 	}
-	total := len(streamed) * len(s1.Survivors)
+	n := len(s1.Survivors)
+	total := len(streamed) * n
 
-	jobs := func(yield func(Job) bool) {
-		for _, cfg := range streamed {
-			for _, sv := range s1.Survivors {
-				if !yield(Job{Cfg: cfg, Assign: sv.Assign}) {
+	order := e.step2Order(s1.Survivors)
+	jobs := func(yield func(int, Job) bool) {
+		for ci, cfg := range streamed {
+			for _, si := range order {
+				if !yield(ci*n+si, Job{Cfg: cfg, Assign: s1.Survivors[si].Assign}) {
 					return
 				}
 			}
@@ -1364,7 +1434,7 @@ func (e *Engine) Step2(ctx context.Context, s1 *Step1Result, configs []Config) (
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var guardFor func(Job) *frontGuard
-	if e.guarded() {
+	if len(guards) > 0 {
 		guardFor = func(jb Job) *frontGuard { return guards[jb.Cfg.String()] }
 	}
 
@@ -1373,7 +1443,7 @@ func (e *Engine) Step2(ctx context.Context, s1 *Step1Result, configs []Config) (
 	// step-1 survivor front (see fireCheckpoint).
 	sc := ckptScope{step: 2}
 	results := make([]Result, total)
-	err := e.collect(cancel, e.stream(runCtx, jobs, guardFor), results, total, sc, func(o Outcome) {
+	err := e.collect(cancel, e.streamMode(runCtx, jobs, guardFor, false), results, total, sc, func(o Outcome) {
 		if g := guards[o.Job.Cfg.String()]; g != nil {
 			g.add(o.Result.Point(o.Index))
 		}

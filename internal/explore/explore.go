@@ -146,10 +146,10 @@ type Options struct {
 	// cross-product to ~10·K captures: a full exploration executes each
 	// library kind roughly once per role and composes everything else.
 	Compose bool
-	// BoundPrune enables bound-guided combination pruning (implies
-	// Compose, and so Arenas; requires a cache): before composing a
-	// combination, the engine sums the admissible per-lane lower bounds
-	// derived from each lane's ISOLATED reuse profile
+	// BoundPrune enables bound-guided combination pruning in step 1
+	// (implies Compose, and so Arenas; requires a cache): before
+	// composing a combination, the engine sums the admissible per-lane
+	// lower bounds derived from each lane's ISOLATED reuse profile
 	// (memsim.BoundFromProfile over astream.ReplayLaneProfiled passes,
 	// ~10·K cheap passes total) and skips the composed replay entirely
 	// when the live Pareto front already dominates the bound — the
@@ -160,11 +160,10 @@ type Options struct {
 	// Result.Pruned set. Pruning is skipped on platforms outside
 	// memsim.BoundEligible, and under PruneBestPerMetric (whose per-axis
 	// argmin can select a dominated point on an exact tie, which a
-	// pruned run would have discarded). As with EarlyAbort, discarded
-	// points are excluded from full-space analyses: a step-1 survivor
-	// pruned under some step-2 configuration drops out of the
-	// cross-configuration averaged charts (it lacks full configuration
-	// coverage), while every step front stays exact.
+	// pruned run would have discarded). Step 2 never prunes: every
+	// survivor is evaluated exactly on every configuration, so the
+	// cross-configuration averages of step 3 stay complete (a pruned
+	// survivor would lack coverage and drop out of them).
 	BoundPrune bool
 	// SampleRate, when in (0, 1), turns Step1 into a two-phase screening
 	// exploration (implies Compose, and so Arenas; requires a cache and
@@ -545,7 +544,7 @@ type Step2Result struct {
 	Results     []Result // survivors x configurations (reference included)
 	Simulations int      // new simulations run in this step
 	Aborted     int      // simulations the early-abort guard stopped
-	Pruned      int      // points the bound-guided search discarded with zero replays
+	Pruned      int      // points a cached bound-prune tombstone answered (step 2 itself never prunes)
 }
 
 // ResultsFor returns the step's results for one configuration.

@@ -205,7 +205,7 @@ func (e *Engine) step1Screened(ctx context.Context, reference Config, probes *pr
 	guardFor := func(Job) *frontGuard { return guard }
 	sc := ckptScope{step: 1, front: guard.points}
 	results := make([]Result, total)
-	err := e.collect(cancel, e.streamMode(runCtx, jobs, guardFor, true), results, total, sc, func(o Outcome) {
+	err := e.collect(cancel, e.streamMode(runCtx, enumerate(jobs), guardFor, true), results, total, sc, func(o Outcome) {
 		guard.add(o.Result.Point(o.Index))
 	})
 	if err != nil {

@@ -2,17 +2,14 @@ package memsim
 
 import "math/bits"
 
-// LineSim is the bare two-level hit/miss simulator the access-stream
-// replay path drives. It shares the cache implementation (and therefore
-// the exact set-mapping, LRU and fill policy) with Hierarchy, but strips
-// the per-access bookkeeping a live simulation needs — word counting,
-// cycle accumulation, abort polling — down to the only state that is
-// platform-dependent: which level served each line probe, plus the
-// pipelined-word count implied by the configuration's line size.
-// Everything else a cost vector needs (word counts, ALU cycles, peak
-// footprint) is platform-invariant and is reconstructed arithmetically
-// by the replayer; CyclesFor is the closed form of the cycle accounting
-// Hierarchy performs incrementally.
+// LineSim is the two-level hit/miss probe kernel: live simulation
+// (Hierarchy) probes every access through it, and the access-stream
+// replay path drives it in batches (ProbeAccesses). It holds only the
+// state that is platform-dependent: the cache tags, which level served
+// each line probe, and the pipelined-word count implied by the
+// configuration's line size. Everything else a cost vector needs (word
+// counts, ALU cycles, peak footprint) is platform-invariant; CyclesFor
+// is the closed form that turns the two into cycles.
 type LineSim struct {
 	L1Hits    uint64
 	L2Hits    uint64
@@ -38,10 +35,7 @@ const noLine = ^uint32(0)
 
 // NewLineSim builds the hit/miss simulator for cfg's cache geometries.
 func NewLineSim(cfg Config) *LineSim {
-	lb := cfg.L1.LineBytes
-	if lb == 0 {
-		lb = 1
-	}
+	lb := effectiveLine(cfg)
 	return &LineSim{
 		l1:        newCache(cfg.L1),
 		l2:        newCache(cfg.L2),
@@ -60,11 +54,7 @@ func NewLineSim(cfg Config) *LineSim {
 // the replay hot path recycle simulators from a pool instead of
 // allocating tag arrays per replay.
 func (s *LineSim) Reset(cfg Config) bool {
-	lb := cfg.L1.LineBytes
-	if lb == 0 {
-		lb = 1
-	}
-	if lb != s.lineBytes || !s.l1.sameGeometry(cfg.L1) || !s.l2.sameGeometry(cfg.L2) {
+	if effectiveLine(cfg) != s.lineBytes || !s.l1.sameGeometry(cfg.L1) || !s.l2.sameGeometry(cfg.L2) {
 		return false
 	}
 	for i := range s.l1.tags {
@@ -79,30 +69,73 @@ func (s *LineSim) Reset(cfg Config) bool {
 	return true
 }
 
-// LineSpan returns the first and last cache-line index an access to
+// lineSpan returns the first and last cache-line index an access to
 // [addr, addr+size) touches under this configuration's line size.
-func (s *LineSim) LineSpan(addr, size uint32) (uint32, uint32) {
+func (s *LineSim) lineSpan(addr, size uint32) (uint32, uint32) {
 	if s.linePow2 {
 		return addr >> s.shift, (addr + size - 1) >> s.shift
 	}
 	return addr / s.lineBytes, (addr + size - 1) / s.lineBytes
 }
 
-// ProbeLine walks the hierarchy for one cache line, with exactly the
-// write-allocate inclusive-fill policy of Hierarchy.probeLine.
-func (s *LineSim) ProbeLine(line uint32) {
-	if s.l1.access(line) {
+// probeLine walks the hierarchy for one cache line (write-allocate,
+// inclusive fill on miss).
+func (s *LineSim) probeLine(line uint32) {
+	if s.l1.probe(line) {
 		s.L1Hits++
 		return
 	}
-	if s.l2.access(line) {
-		s.L2Hits++
-		s.l1.fill(line)
+	s.probeL2Fill(line)
+}
+
+// setWindow records first..last as the skip window after probing that
+// span, or clears the window when the span can wrap the L1 set space
+// (two of its lines could then share a set, so not every line is MRU).
+func (s *LineSim) setWindow(first, last uint32) {
+	if last-first < s.l1.nsets {
+		s.lastFirst, s.lastLine = first, last
+	} else {
+		s.lastFirst, s.lastLine = noLine, noLine
+	}
+}
+
+// probeSpan probes the lines first..last (first <= last) of one access:
+// the single-access form of ProbeAccesses that live simulation
+// (Hierarchy) drives, with the same shortcuts — the skip window, the
+// direct 2-way L1 path, probeL2Fill below the first level.
+func (s *LineSim) probeSpan(first, last uint32) {
+	if first >= s.lastFirst && last <= s.lastLine {
+		s.L1Hits += uint64(last - first + 1) // inside the skip window
 		return
 	}
-	s.DRAMFills++
-	s.l2.fill(line)
-	s.l1.fill(line)
+	s.setWindow(first, last)
+	l1 := s.l1
+	if !l1.pow2 || l1.assoc != 2 {
+		for line := first; ; line++ {
+			s.probeLine(line)
+			if line == last {
+				return
+			}
+		}
+	}
+	tags, mask := l1.tags, l1.mask
+	for line := first; ; line++ {
+		base := (line & mask) << 1
+		if tags[base] == line {
+			s.L1Hits++ // MRU way: no reorder needed
+		} else if tags[base+1] == line {
+			tags[base+1] = tags[base]
+			tags[base] = line
+			s.L1Hits++
+		} else {
+			s.probeL2Fill(line)
+			tags[base+1] = tags[base]
+			tags[base] = line
+		}
+		if line == last {
+			return
+		}
+	}
 }
 
 // ProbeAccesses simulates a batch of accesses (addrs[i] with sizes[i])
@@ -113,85 +146,20 @@ func (s *LineSim) ProbeLine(line uint32) {
 // recently probed line is a guaranteed L1 hit with no LRU state change
 // (the line is resident and already MRU), and an access whose line is at
 // the MRU position of its set needs no reordering. The specialized walk
-// requires power-of-two geometry (line size and set counts, the
-// practical case); anything else takes the generic ProbeLine path. The
-// replay-equivalence property tests pin both paths to the live
-// hierarchy bit-for-bit. Pipelined-word counts accumulate per the
-// configuration's line size (Pipelined).
+// covers a 2-way L1 with power-of-two line size and set count (the
+// default platform); any other geometry probes access by access through
+// probeSpan. The replay-equivalence property tests pin both paths to
+// the live hierarchy bit-for-bit. Pipelined-word counts accumulate per
+// the configuration's line size (Pipelined).
 func (s *LineSim) ProbeAccesses(addrs, sizes []uint32) {
 	if len(addrs) != len(sizes) {
 		panic("memsim: ProbeAccesses length mismatch")
 	}
-	l1, l2 := s.l1, s.l2
-	if !s.linePow2 || !l1.pow2 || !l2.pow2 {
-		s.probeAccessesGeneric(addrs, sizes)
-		return
-	}
-	if l1.assoc == 2 {
+	if s.linePow2 && s.l1.pow2 && s.l1.assoc == 2 {
 		s.probeAccessesL1x2(addrs, sizes)
 		return
 	}
-	var (
-		shift               = s.shift
-		lastFirst, lastLine = s.lastFirst, s.lastLine
-		l1Tags              = l1.tags
-		l1Mask, l1Assoc     = l1.mask, l1.assoc
-		l1Sets              = l1.nsets
-		l1Hits              uint64
-		pipelined           uint64
-	)
-	for i, addr := range addrs {
-		size := sizes[i]
-		if size == 0 {
-			continue
-		}
-		first := addr >> shift
-		last := (addr + size - 1) >> shift
-		if words, lines := uint64((size+3)>>2), uint64(last-first+1); words > lines {
-			pipelined += words - lines
-		}
-		if last < first {
-			continue // addr+size wraps the 32-bit space: the hierarchy probes no lines
-		}
-		if first >= lastFirst && last <= lastLine {
-			l1Hits += uint64(last - first + 1) // inside the skip window
-			continue
-		}
-		if last-first < l1Sets {
-			lastFirst, lastLine = first, last
-		} else {
-			lastFirst, lastLine = noLine, noLine
-		}
-		for line := first; ; line++ {
-			base := (line & l1Mask) * l1Assoc
-			t1 := l1Tags[base : base+l1Assoc]
-			if t1[0] == line {
-				l1Hits++ // MRU way: no reorder needed
-			} else {
-				hit := false
-				for w := uint32(1); w < l1Assoc; w++ {
-					if t1[w] == line {
-						copy(t1[1:w+1], t1[:w])
-						t1[0] = line
-						l1Hits++
-						hit = true
-						break
-					}
-				}
-				if !hit {
-					s.probeL2Fill(line)
-					copy(t1[1:], t1[:l1Assoc-1])
-					t1[0] = line
-				}
-			}
-			if line == last {
-				break
-			}
-		}
-	}
-	s.lastFirst, s.lastLine = lastFirst, lastLine
-	s.L1Hits += l1Hits
-	s.pipelined += pipelined
+	s.probeAccessesGeneric(addrs, sizes)
 }
 
 // probeAccessesL1x2 is ProbeAccesses for the dominant 2-way L1 geometry:
@@ -252,43 +220,30 @@ func (s *LineSim) probeAccessesL1x2(addrs, sizes []uint32) {
 }
 
 // probeL2Fill resolves an L1 miss against the second level (probe, LRU
-// update, inclusive fill), with exactly the policy of Hierarchy.probeLine
-// below the first level. The caller performs the L1 fill.
+// update, fill on miss: write-allocate, inclusive). The caller performs
+// the L1 fill.
 func (s *LineSim) probeL2Fill(line uint32) {
-	if s.l2.access(line) {
+	if s.l2.probe(line) {
 		s.L2Hits++
-		return
+	} else {
+		s.DRAMFills++
 	}
-	s.DRAMFills++
-	s.l2.fill(line)
 }
 
-// probeAccessesGeneric is the ProbeAccesses fallback for non-power-of-
-// two geometries, built on the canonical ProbeLine walk.
+// probeAccessesGeneric is ProbeAccesses for every other geometry,
+// access by access through probeSpan.
 func (s *LineSim) probeAccessesGeneric(addrs, sizes []uint32) {
 	for i, addr := range addrs {
 		size := sizes[i]
 		if size == 0 {
 			continue
 		}
-		first, last := s.LineSpan(addr, size)
+		first, last := s.lineSpan(addr, size)
 		if words, lines := uint64((size+3)/4), uint64(last-first+1); words > lines {
 			s.pipelined += words - lines
 		}
-		if last < first {
-			continue // addr+size wraps the 32-bit space: the hierarchy probes no lines
-		}
-		if first >= s.lastFirst && last <= s.lastLine {
-			s.L1Hits += uint64(last - first + 1) // inside the skip window
-			continue
-		}
-		if last-first < s.l1.nsets {
-			s.lastFirst, s.lastLine = first, last
-		} else {
-			s.lastFirst, s.lastLine = noLine, noLine
-		}
-		for line := first; line <= last; line++ {
-			s.ProbeLine(line)
+		if last >= first { // addr+size wrapping the 32-bit space probes no lines
+			s.probeSpan(first, last)
 		}
 	}
 }
@@ -301,13 +256,82 @@ func (s *LineSim) Probes() uint64 { return s.L1Hits + s.L2Hits + s.DRAMFills }
 func (s *LineSim) Pipelined() uint64 { return s.pipelined }
 
 // CyclesFor returns the execution cycles implied by the event counts plus
-// the pipelined extra words under this configuration: the closed form of
-// the accounting Hierarchy does incrementally, used by the replayer to
-// reconstruct exact cycle totals from a LineSim's probe outcomes.
+// the pipelined extra words under this configuration: the closed form
+// both Hierarchy.Cycles and the replayer derive exact cycle totals with
+// from a LineSim's probe outcomes.
 func (cfg Config) CyclesFor(c Counts, pipelinedWords uint64) uint64 {
 	return c.L1Hits*cfg.L1HitCycles +
 		c.L2Hits*cfg.L2HitCycles +
 		c.DRAMFills*cfg.DRAMCycles +
 		c.OpCycles +
 		pipelinedWords*cfg.PipelinedWord
+}
+
+// cache is one set-associative LRU cache level tracked at line
+// granularity. Tags live in one flat array with a fixed stride of assoc
+// entries per set, most-recently-used first, empty ways holding a
+// sentinel; the contiguous layout keeps the whole simulated tag store in
+// a few host cache lines per set, and with the small associativities
+// used here a linear scan beats fancier structures.
+type cache struct {
+	tags  []uint32 // nsets*assoc entries, MRU first within each set
+	assoc uint32
+	nsets uint32
+	mask  uint32 // set-index mask when the set count is a power of two
+	pow2  bool
+}
+
+// invalidTag marks an empty way. Real line indices stay below it for
+// every line size >= 2 bytes of the 32-bit simulated address space.
+const invalidTag = ^uint32(0)
+
+func newCache(g CacheGeometry) *cache {
+	sets, assoc := effectiveGeometry(g)
+	c := &cache{
+		tags:  make([]uint32, sets*assoc),
+		assoc: assoc,
+		nsets: sets,
+		mask:  sets - 1,
+		pow2:  sets&(sets-1) == 0,
+	}
+	for i := range c.tags {
+		c.tags[i] = invalidTag
+	}
+	return c
+}
+
+// sameGeometry reports whether the cache was built from a geometry
+// equivalent to g (same effective set count and associativity).
+func (c *cache) sameGeometry(g CacheGeometry) bool {
+	sets, assoc := effectiveGeometry(g)
+	return c.nsets == sets && c.assoc == assoc
+}
+
+// probe looks line up in one pass over its set and reports a hit. A hit
+// moves the line to the MRU way; a miss installs it there, evicting the
+// LRU way. The MRU way is checked first: repeated probes of the hot line
+// (adjacent words of a record, pointer-then-payload pairs) are the
+// common case and need no reordering.
+func (c *cache) probe(line uint32) bool {
+	var set uint32
+	if c.pow2 {
+		set = line & c.mask
+	} else {
+		set = line % c.nsets
+	}
+	tags := c.tags[set*c.assoc : (set+1)*c.assoc]
+	w := 0
+	for w < len(tags) && tags[w] != line {
+		w++
+	}
+	if w == 0 {
+		return true
+	}
+	hit := w < len(tags)
+	if !hit {
+		w = len(tags) - 1
+	}
+	copy(tags[1:w+1], tags[:w])
+	tags[0] = line
+	return hit
 }

@@ -121,10 +121,13 @@ type BoundarySink interface {
 // with New; it is not safe for concurrent use (one simulation = one
 // goroutine, matching the single-threaded NetBench applications).
 type Hierarchy struct {
-	cfg    Config
-	l1, l2 *cache
+	cfg Config
+	// sim is the probe kernel the replay path drives too: it owns the
+	// cache state and the hit/miss/fill counters. counts holds the
+	// platform-invariant rest (words, ALU cycles); Counts and Cycles
+	// assemble the two, the latter through the closed form CyclesFor.
+	sim    *LineSim
 	counts Counts
-	cycles uint64
 
 	// sink, when set, receives every access before it is accounted;
 	// sinkOps accumulates op cycles not yet handed to it. bsink caches
@@ -204,11 +207,7 @@ func (h *Hierarchy) SetAbortCheck(every uint64, fn func() bool) {
 
 // New builds a hierarchy from cfg.
 func New(cfg Config) *Hierarchy {
-	return &Hierarchy{
-		cfg: cfg,
-		l1:  newCache(cfg.L1),
-		l2:  newCache(cfg.L2),
-	}
+	return &Hierarchy{cfg: cfg, sim: NewLineSim(cfg)}
 }
 
 // Read simulates loading size bytes starting at virtual address addr.
@@ -236,7 +235,6 @@ func (h *Hierarchy) Op(n uint64) {
 		h.sinkOps += n
 	}
 	h.counts.OpCycles += n
-	h.cycles += n
 }
 
 func (h *Hierarchy) access(addr, size uint32, write bool) {
@@ -249,153 +247,67 @@ func (h *Hierarchy) access(addr, size uint32, write bool) {
 	} else {
 		h.counts.ReadWords += words
 	}
-
-	lineBytes := h.cfg.L1.LineBytes
-	firstLine := addr / lineBytes
-	lastLine := (addr + size - 1) / lineBytes
-	lines := uint64(lastLine - firstLine + 1)
-
-	for line := firstLine; line <= lastLine; line++ {
-		h.probeLine(line)
+	s := h.sim
+	first, last := s.lineSpan(addr, size)
+	// A span wrapping the 32-bit space (last < first) probes no lines.
+	if last >= first {
+		if h.abortFn != nil && h.sinceCheck+uint64(last-first+1) >= h.abortEvery {
+			h.probePolled(first, last)
+		} else {
+			if h.abortFn != nil {
+				h.sinceCheck += uint64(last - first + 1)
+			}
+			s.probeSpan(first, last)
+		}
 	}
 	// Words beyond the first of each probed line are pipelined.
-	if words > lines {
-		h.cycles += (words - lines) * h.cfg.PipelinedWord
+	if lines := uint64(last - first + 1); words > lines {
+		s.pipelined += words - lines
 	}
 }
 
-// probeLine walks the hierarchy for one cache line (write-allocate,
-// inclusive fill on miss).
-func (h *Hierarchy) probeLine(line uint32) {
-	if h.abortFn != nil {
+// probePolled probes the lines first..last one at a time, polling the
+// abort check before each probe: the path for a span that reaches the
+// next poll, so an abort snapshot lands on exactly the probe a per-line
+// walk would stop at. Every other span takes probeSpan whole.
+func (h *Hierarchy) probePolled(first, last uint32) {
+	s := h.sim
+	inWindow := first >= s.lastFirst && last <= s.lastLine
+	for line := first; ; line++ {
 		h.sinceCheck++
 		if h.sinceCheck >= h.abortEvery {
 			h.sinceCheck = 0
 			if h.abortFn() {
-				panic(&Aborted{Counts: h.counts, Cycles: h.cycles})
+				panic(&Aborted{Counts: h.Counts(), Cycles: h.Cycles()})
 			}
 		}
+		s.probeLine(line)
+		if line == last {
+			break
+		}
 	}
-	if h.l1.access(line) {
-		h.counts.L1Hits++
-		h.cycles += h.cfg.L1HitCycles
-		return
+	if !inWindow {
+		s.setWindow(first, last)
 	}
-	if h.l2.access(line) {
-		h.counts.L2Hits++
-		h.cycles += h.cfg.L2HitCycles
-		h.l1.fill(line)
-		return
-	}
-	h.counts.DRAMFills++
-	h.cycles += h.cfg.DRAMCycles
-	h.l2.fill(line)
-	h.l1.fill(line)
 }
 
 // Counts returns the accumulated event counters.
-func (h *Hierarchy) Counts() Counts { return h.counts }
+func (h *Hierarchy) Counts() Counts {
+	c := h.counts
+	c.L1Hits, c.L2Hits, c.DRAMFills = h.sim.L1Hits, h.sim.L2Hits, h.sim.DRAMFills
+	return c
+}
 
 // Cycles returns the total simulated cycles so far.
-func (h *Hierarchy) Cycles() uint64 { return h.cycles }
+func (h *Hierarchy) Cycles() uint64 {
+	return h.cfg.CyclesFor(h.Counts(), h.sim.pipelined)
+}
 
 // Seconds converts the accumulated cycles to seconds at the configured
 // clock.
 func (h *Hierarchy) Seconds() float64 {
-	return float64(h.cycles) / h.cfg.ClockHz
+	return float64(h.Cycles()) / h.cfg.ClockHz
 }
 
 // Config returns the configuration the hierarchy was built with.
 func (h *Hierarchy) Config() Config { return h.cfg }
-
-// cache is one set-associative LRU cache level tracked at line
-// granularity. Tags live in one flat array with a fixed stride of assoc
-// entries per set, most-recently-used first, empty ways holding a
-// sentinel; the contiguous layout keeps the whole simulated tag store in
-// a few host cache lines per set, and with the small associativities
-// used here a linear scan beats fancier structures.
-type cache struct {
-	tags  []uint32 // nsets*assoc entries, MRU first within each set
-	assoc uint32
-	nsets uint32
-	mask  uint32 // set-index mask when the set count is a power of two
-	pow2  bool
-}
-
-// invalidTag marks an empty way. Real line indices stay below it for
-// every line size >= 2 bytes of the 32-bit simulated address space.
-const invalidTag = ^uint32(0)
-
-func newCache(g CacheGeometry) *cache {
-	sets := g.Sets()
-	if sets == 0 {
-		sets = 1
-	}
-	assoc := g.Assoc
-	if assoc == 0 {
-		assoc = 1
-	}
-	c := &cache{
-		tags:  make([]uint32, sets*assoc),
-		assoc: assoc,
-		nsets: sets,
-		mask:  sets - 1,
-		pow2:  sets&(sets-1) == 0,
-	}
-	for i := range c.tags {
-		c.tags[i] = invalidTag
-	}
-	return c
-}
-
-// sameGeometry reports whether the cache was built from a geometry
-// equivalent to g (same effective set count and associativity).
-func (c *cache) sameGeometry(g CacheGeometry) bool {
-	sets := g.Sets()
-	if sets == 0 {
-		sets = 1
-	}
-	assoc := g.Assoc
-	if assoc == 0 {
-		assoc = 1
-	}
-	return c.nsets == sets && c.assoc == assoc
-}
-
-// setIndex maps a line address to its set.
-func (c *cache) setIndex(line uint32) uint32 {
-	if c.pow2 {
-		return line & c.mask
-	}
-	return line % c.nsets
-}
-
-// access returns true on hit, updating LRU order. On miss it does NOT
-// install the line; the caller decides fill policy. The MRU position is
-// checked first: repeated probes of the hot line (adjacent words of a
-// record, pointer-then-payload pairs) are the common case and need no
-// reordering.
-func (c *cache) access(line uint32) bool {
-	base := c.setIndex(line) * c.assoc
-	tags := c.tags[base : base+c.assoc]
-	if tags[0] == line {
-		return true
-	}
-	for i := uint32(1); i < c.assoc; i++ {
-		if tags[i] == line {
-			// Move to front (MRU).
-			copy(tags[1:i+1], tags[:i])
-			tags[0] = line
-			return true
-		}
-	}
-	return false
-}
-
-// fill installs line as MRU, evicting the LRU way if the set is full.
-func (c *cache) fill(line uint32) {
-	base := c.setIndex(line) * c.assoc
-	tags := c.tags[base : base+c.assoc]
-	copy(tags[1:], tags[:c.assoc-1])
-	tags[0] = line
-}
