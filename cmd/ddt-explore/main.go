@@ -44,6 +44,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"os/signal"
@@ -246,16 +247,11 @@ func run(ctx context.Context, c cliConfig) error {
 		SampleRate:   c.sampleRate,
 	}
 	if c.progress {
-		var lastPct int = -1
-		opts.Progress = func(done, total int) {
-			if pct := 100 * done / total; pct != lastPct {
-				lastPct = pct
-				fmt.Fprintf(os.Stderr, "\rstreaming %d/%d simulations (%d%%)", done, total, pct)
-				if done == total {
-					fmt.Fprintln(os.Stderr)
-				}
-			}
+		tty := false
+		if fi, err := os.Stderr.Stat(); err == nil {
+			tty = fi.Mode()&os.ModeCharDevice != 0
 		}
+		opts.Progress = progressPrinter(os.Stderr, tty)
 	}
 	cachePath := c.cachePath
 	if c.replayCache != "" {
@@ -266,6 +262,11 @@ func run(ctx context.Context, c cliConfig) error {
 		readFS = faultio.OS{}
 	}
 	cache, writable := loadCache(readFS, cachePath)
+	if cache != nil {
+		// Unread stream entries keep the cache file open; every save of
+		// this run happens before run returns.
+		defer cache.Release()
+	}
 	if !writable {
 		// The file may be intact: never overwrite what could not be read.
 		cachePath = ""
@@ -736,6 +737,31 @@ func bestAssignment(r *core.Report) apps.Assignment {
 	return nil
 }
 
+// progressPrinter renders streaming progress on w. A terminal gets one
+// line redrawn in place at every whole percent; anything else (a log
+// file, a pipe) gets a line of its own at every whole 10% step.
+func progressPrinter(w io.Writer, tty bool) func(done, total int) {
+	lastPct, lastTotal := -1, -1
+	return func(done, total int) {
+		pct := 100 * done / total
+		if tty {
+			if pct != lastPct {
+				lastPct = pct
+				fmt.Fprintf(w, "\rstreaming %d/%d simulations (%d%%)", done, total, pct)
+				if done == total {
+					fmt.Fprintln(w)
+				}
+			}
+			return
+		}
+		pct -= pct % 10
+		if pct != lastPct || total != lastTotal {
+			lastPct, lastTotal = pct, total
+			fmt.Fprintf(w, "streaming %d/%d simulations (%d%%)\n", done, total, pct)
+		}
+	}
+}
+
 // loadCache opens the persistent simulation cache. A run must never die
 // to cache damage — the cache is an accelerator, not an input — so every
 // failure degrades gracefully to a cold start: a missing file is the
@@ -750,6 +776,7 @@ func loadCache(fs faultio.ReadFS, path string) (cache *explore.Cache, writable b
 		return nil, true
 	}
 	cache = explore.NewCache()
+	cache.SetWarn(func(msg string) { fmt.Fprintln(os.Stderr, "ddt-explore:", msg) })
 	rep, err := cache.LoadFileFS(fs, path)
 	switch {
 	case errors.Is(err, os.ErrNotExist):

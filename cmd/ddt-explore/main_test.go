@@ -6,6 +6,8 @@ import (
 	"encoding/csv"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/report"
@@ -197,5 +199,35 @@ func TestRunWritesProfiles(t *testing.T) {
 	}
 	if info.Size() == 0 {
 		t.Fatal("heap profile empty")
+	}
+}
+
+// TestProgressPrinter pins both progress renderings: a terminal gets
+// one line redrawn in place per whole percent, finished by a newline;
+// a log file gets one line per whole 10% step (0% included) of each
+// step's total.
+func TestProgressPrinter(t *testing.T) {
+	var tty, log strings.Builder
+	pt, pl := progressPrinter(&tty, true), progressPrinter(&log, false)
+	for _, total := range []int{200, 3} {
+		for done := 1; done <= total; done++ {
+			pt(done, total)
+			pl(done, total)
+		}
+	}
+	if got := strings.Count(tty.String(), "\r"); got != 101+3 {
+		t.Errorf("terminal progress redrew %d times, want 104", got)
+	}
+	if strings.Count(tty.String(), "\n") != 2 || !strings.HasSuffix(tty.String(), "\rstreaming 3/3 simulations (100%)\n") {
+		t.Errorf("terminal progress lines:\n%q", tty.String())
+	}
+	lines := strings.Split(strings.TrimSuffix(log.String(), "\n"), "\n")
+	if strings.Contains(log.String(), "\r") || len(lines) != 11+3 {
+		t.Fatalf("log progress:\n%s", log.String())
+	}
+	for i, want := range []string{"streaming 20/200 simulations (10%)", "streaming 200/200 simulations (100%)", "streaming 1/3 simulations (30%)", "streaming 3/3 simulations (100%)"} {
+		if !slices.Contains(lines, want) {
+			t.Errorf("log progress lacks line %d %q:\n%s", i, want, log.String())
+		}
 	}
 }

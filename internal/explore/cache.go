@@ -3,6 +3,7 @@ package explore
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -82,6 +83,12 @@ type Cache struct {
 	runOrder  []string
 	unpacked  map[string]*astream.UnpackedLane
 
+	// Lanes and schedules LoadFile left unread (also guarded by sm): the
+	// stored sub-stream of such an entry is a chunkless stand-in built
+	// from its index row; the chunks are read on first lookup (laneAt,
+	// schedAt). Until then the entry is charged its on-disk size.
+	unreadLanes, unreadScheds map[string]*unreadEntry
+
 	// Reuse profiles (also guarded by sm, counted against the stream
 	// budget): per-(identity, line size) stack-distance histograms from
 	// all-geometry replay passes (memsim.ReuseProfile). A covered
@@ -138,6 +145,8 @@ type Cache struct {
 	drops  atomic.Uint64
 	fileMu sync.Mutex
 	clean  *cleanFile
+
+	warn func(msg string) // see SetWarn
 }
 
 // cacheEntry is one memoized simulation. Ctx tags tombstones with the
@@ -204,6 +213,8 @@ func NewCache() *Cache {
 		scheds:       make(map[string]schedEntry),
 		runs:         make(map[string]streamEntry),
 		unpacked:     make(map[string]*astream.UnpackedLane),
+		unreadLanes:  make(map[string]*unreadEntry),
+		unreadScheds: make(map[string]*unreadEntry),
 		rprofiles:    make(map[string]*memsim.ReuseProfile),
 		lprofiles:    make(map[string]*memsim.ReuseProfile),
 		sprofiles:    make(map[string]*memsim.ReuseProfile),
@@ -315,9 +326,7 @@ func (c *Cache) store(key string, r Result, ctx string) {
 // lookupLane returns the complete lane sub-stream for a (role, kind)
 // key. Partial lanes never hit.
 func (c *Cache) lookupLane(key string) (*astream.SubStream, bool) {
-	c.sm.RLock()
-	s, ok := c.lanes[key]
-	c.sm.RUnlock()
+	s, ok := c.laneAt(key)
 	if !ok || s.Partial {
 		c.laneMisses.Add(1)
 		return nil, false
@@ -338,7 +347,8 @@ func (c *Cache) storeLane(key string, s *astream.SubStream) {
 		return
 	}
 	if old, ok := c.lanes[key]; ok {
-		c.streamBytes -= int64(old.SizeBytes())
+		c.streamBytes -= c.laneBytes(key, old)
+		c.forgetUnread(c.unreadLanes, key)
 	} else {
 		c.laneOrder = append(c.laneOrder, key)
 	}
@@ -512,15 +522,66 @@ func (c *Cache) lookupRun(key string) (*astream.Schedule, *astream.SubStream, ap
 }
 
 func (c *Cache) lookupSched(key string, hits, misses *atomic.Uint64) (*astream.Schedule, *astream.SubStream, apps.Summary, bool) {
-	c.sm.RLock()
-	e, ok := c.scheds[key]
-	c.sm.RUnlock()
+	e, ok := c.schedAt(key)
 	if !ok || e.Ambient.Partial {
 		misses.Add(1)
 		return nil, nil, apps.Summary{}, false
 	}
 	hits.Add(1)
 	return e.Sched, e.Ambient, cloneSummary(e.Summary), true
+}
+
+// laneAt returns the lane stored under key, reading and verifying its
+// chunks if it is still unread. Reading is not a change to persisted
+// state; a lane whose chunks cannot be read or fail their checksum is
+// dropped (a change) and reported missing, so it is captured again.
+func (c *Cache) laneAt(key string) (*astream.SubStream, bool) {
+	for {
+		c.sm.RLock()
+		s, ok := c.lanes[key]
+		u := c.unreadLanes[key]
+		c.sm.RUnlock()
+		if !ok || u == nil {
+			return s, ok
+		}
+		if !c.readUnread(secLanes, key, u) {
+			return nil, false
+		}
+	}
+}
+
+// schedAt is laneAt for the schedule entry stored under key, reading
+// its ambient lane on first use.
+func (c *Cache) schedAt(key string) (schedEntry, bool) {
+	for {
+		c.sm.RLock()
+		e, ok := c.scheds[key]
+		u := c.unreadScheds[key]
+		c.sm.RUnlock()
+		if !ok || u == nil {
+			return e, ok
+		}
+		if !c.readUnread(secScheds, key, u) {
+			return schedEntry{}, false
+		}
+	}
+}
+
+// laneBytes is the stream-budget charge of the lane s stored under
+// key: its chunk bytes, read or not. Called with sm held.
+func (c *Cache) laneBytes(key string, s *astream.SubStream) int64 {
+	if u := c.unreadLanes[key]; u != nil {
+		return u.size
+	}
+	return int64(s.SizeBytes())
+}
+
+// schedBytes is laneBytes for the schedule entry e stored under key.
+func (c *Cache) schedBytes(key string, e schedEntry) int64 {
+	if u := c.unreadScheds[key]; u != nil {
+		return int64(e.Sched.SizeBytes()) + u.size
+	}
+	return e.sizeBytes()
 }
 
 // storeSchedule retains a configuration's schedule entry. The schedule
@@ -578,11 +639,16 @@ func (c *Cache) storeRun(key string, id streamEntry, e schedEntry) {
 // is known.
 func (c *Cache) runEntries() []runEntry {
 	c.sm.RLock()
-	defer c.sm.RUnlock()
-	out := make([]runEntry, 0, len(c.runOrder))
-	for _, k := range c.runOrder {
-		if id, ok := c.runs[k]; ok {
-			out = append(out, runEntry{id, c.scheds[k]})
+	keys := slices.Clone(c.runOrder)
+	c.sm.RUnlock()
+	out := make([]runEntry, 0, len(keys))
+	for _, k := range keys {
+		e, ok := c.schedAt(k)
+		c.sm.RLock()
+		id, known := c.runs[k]
+		c.sm.RUnlock()
+		if ok && known {
+			out = append(out, runEntry{id, e})
 		}
 	}
 	return out
@@ -590,7 +656,7 @@ func (c *Cache) runEntries() []runEntry {
 
 // captured reports whether the complete schedule entry or lane
 // sub-stream stored under key is retained, without touching the
-// hit/miss counters.
+// hit/miss counters or reading an unread entry.
 func (c *Cache) captured(key string) bool {
 	c.sm.RLock()
 	defer c.sm.RUnlock()
@@ -656,16 +722,20 @@ func (c *Cache) evictLocked() {
 	for c.streamBytes > c.streamBudget && len(c.runOrder) > 0 {
 		key := c.runOrder[0]
 		c.runOrder = c.runOrder[1:]
-		c.streamBytes -= c.scheds[key].sizeBytes()
-		delete(c.scheds, key)
-		delete(c.runs, key)
-		dropped()
+		if e, ok := c.scheds[key]; ok {
+			c.streamBytes -= c.schedBytes(key, e)
+			c.forgetUnread(c.unreadScheds, key)
+			delete(c.scheds, key)
+			delete(c.runs, key)
+			dropped()
+		}
 	}
 	for c.streamBytes > c.streamBudget && len(c.laneOrder) > 0 {
 		key := c.laneOrder[0]
 		c.laneOrder = c.laneOrder[1:]
 		if s, ok := c.lanes[key]; ok {
-			c.streamBytes -= int64(s.SizeBytes())
+			c.streamBytes -= c.laneBytes(key, s)
+			c.forgetUnread(c.unreadLanes, key)
 			delete(c.lanes, key)
 			dropped()
 			if u, ok := c.unpacked[key]; ok {
@@ -732,7 +802,10 @@ func (c *Cache) Save(w io.Writer) error {
 // SaveWithStreams serializes the cached results and the retained access
 // streams — whole-run captures, per-(role, kind) lane sub-streams and
 // schedules — so a later process can replay new platform points or
-// compose new combinations without re-executing anything.
+// compose new combinations without re-executing anything. Entries a
+// LoadFile left unread are copied from that file and verified; one
+// that fails is dropped and the save returns an error, after which a
+// new save writes the cache without it (SaveFile does so by itself).
 func (c *Cache) SaveWithStreams(w io.Writer) error {
 	_, err := c.save(w, true)
 	return err

@@ -15,9 +15,15 @@ import (
 // 1000 packets: a ~24 MB file, nearly all of it lane chunks):
 //
 //   - load: LoadFile of the file into a fresh cache — read, CRC32C and
-//     decode, the whole of a warm rerun's setup cost;
-//   - save: the sectioned encoding of the loaded cache (SaveWithStreams
-//     to io.Discard), the write side without the filesystem's fsync.
+//     decode everything but the lanes' and schedules' chunks, which stay
+//     unread on disk: a settled warm rerun's setup cost;
+//   - load+materialize: LoadFile, then a lookup of every lane and
+//     schedule, which reads and verifies every chunk — the cost of a
+//     run that does need every stream, to set against the eager load
+//     LoadFile did before stream sections loaded lazily;
+//   - save: the sectioned encoding of the loaded and materialized cache
+//     (SaveWithStreams to io.Discard), the write side without the
+//     filesystem's fsync.
 func BenchmarkCacheLoadSave(b *testing.B) {
 	a, err := netapps.ByName("FlowMon")
 	if err != nil {
@@ -46,9 +52,24 @@ func BenchmarkCacheLoadSave(b *testing.B) {
 	b.Run("load", func(b *testing.B) {
 		report(b)
 		for i := 0; i < b.N; i++ {
-			rep, err := explore.NewCache().LoadFile(path)
+			c := explore.NewCache()
+			rep, err := c.LoadFile(path)
 			if err != nil || rep.Truncated || len(rep.Dropped) != 0 {
 				b.Fatalf("load: %+v, %v", rep, err)
+			}
+			c.Release()
+		}
+	})
+	b.Run("load+materialize", func(b *testing.B) {
+		report(b)
+		for i := 0; i < b.N; i++ {
+			c := explore.NewCache()
+			rep, err := c.LoadFile(path)
+			if err != nil || rep.Truncated || len(rep.Dropped) != 0 {
+				b.Fatalf("load: %+v, %v", rep, err)
+			}
+			if n := explore.ReadAllStreams(c); n != 0 {
+				b.Fatalf("%d lanes or schedules failed to read", n)
 			}
 		}
 	})
@@ -56,6 +77,9 @@ func BenchmarkCacheLoadSave(b *testing.B) {
 		c := explore.NewCache()
 		if _, err := c.LoadFile(path); err != nil {
 			b.Fatal(err)
+		}
+		if n := explore.ReadAllStreams(c); n != 0 {
+			b.Fatalf("%d lanes or schedules failed to read", n)
 		}
 		var sink countingWriter
 		b.ResetTimer()

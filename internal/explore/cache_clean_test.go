@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -53,6 +52,7 @@ func loadClean(t *testing.T, path string) *Cache {
 	if !rep.complete() {
 		t.Fatalf("load of %s salvaged: %+v", path, rep)
 	}
+	t.Cleanup(c.Release)
 	return c
 }
 
@@ -318,47 +318,6 @@ func TestLoadedChunksAliasPayload(t *testing.T) {
 	checkChunks("schedule", sched.Ambient.Chunks, c.scheds["sched"].Ambient.Chunks)
 	if !reflect.DeepEqual(c.scheds["sched"].Sched, sched.Sched) {
 		t.Fatal("schedule tokens or roles changed in the round trip")
-	}
-}
-
-// TestParentLayoutRoundTrip pins the read-only gob layout of lanes and
-// schedules (ids 3 and 4): a file written in it loads, and saving it
-// again writes the raw-chunk layout (ids 9 and 10) holding the same
-// stores, with identical stats and chunk bytes.
-func TestParentLayoutRoundTrip(t *testing.T) {
-	old := NewCache()
-	_, ids, err := old.loadReported(mustOpen(t, filepath.Join("testdata", "parent_v4_streams.simcache")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Contains(ids, secLanesGob) || !slices.Contains(ids, secSchedsGob) {
-		t.Fatalf("test file holds sections %v, want the gob-layout lanes and schedules", ids)
-	}
-	var img bytes.Buffer
-	if err := old.SaveWithStreams(&img); err != nil {
-		t.Fatal(err)
-	}
-	c := NewCache()
-	rep, ids, err := c.loadReported(bytes.NewReader(img.Bytes()))
-	if err != nil || !rep.complete() {
-		t.Fatalf("re-saved file: %+v, %v", rep, err)
-	}
-	if slices.Contains(ids, secLanesGob) || slices.Contains(ids, secSchedsGob) ||
-		!slices.Contains(ids, secLanes) || !slices.Contains(ids, secScheds) {
-		t.Fatalf("re-saved file holds sections %v, want the raw-chunk layout only", ids)
-	}
-	if got, want := c.Stats(), old.Stats(); got != want {
-		t.Fatalf("round trip stats %+v, want %+v", got, want)
-	}
-	for k, s := range old.lanes {
-		if !reflect.DeepEqual(c.lanes[k].Chunks, s.Chunks) {
-			t.Fatalf("lane %q chunks changed in the round trip", k)
-		}
-	}
-	for k, e := range old.scheds {
-		if !reflect.DeepEqual(c.scheds[k].Ambient.Chunks, e.Ambient.Chunks) || !reflect.DeepEqual(c.scheds[k].Summary, e.Summary) {
-			t.Fatalf("schedule %q changed in the round trip", k)
-		}
 	}
 }
 

@@ -2,6 +2,8 @@ package explore
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -13,9 +15,12 @@ import (
 // fuzzSeedImages builds the v4 encodings Load accepts: lean and with
 // streams from a cache holding an entry of every persisted kind, a
 // composition-only image (lanes and schedules), an image with every
-// section of the current layout, and a file written before whole-run
-// streams became one-lane captures (its retired streams section is
-// skipped on load; its lanes and schedules are in the gob layout).
+// section of the current layout, one whose lanes and schedules sections
+// hold several entries each (the index-and-entry-CRC layout LoadFile
+// reads lazily), a file written before whole-run streams became
+// one-lane captures (its retired streams, lanes and schedules sections
+// are skipped on load), and a file whose lanes and schedules are in the
+// layout without index and entry CRCs (ids 9 and 10).
 func fuzzSeedImages(tb testing.TB) [][]byte {
 	tb.Helper()
 	gs, err := memsim.NewGeomSim([]memsim.Config{memsim.DefaultConfig()})
@@ -66,11 +71,67 @@ func fuzzSeedImages(tb testing.TB) [][]byte {
 		tb.Fatal(err)
 	}
 
-	parent, err := os.ReadFile(filepath.Join("testdata", "parent_v4_streams.simcache"))
-	if err != nil {
+	cs := NewCache()
+	for i := 0; i < 3; i++ {
+		lane := mkRun(3+i, false).Ambient
+		lane.Role, lane.Lane = "r", 1
+		cs.storeLane(fmt.Sprintf("lane-%d", i), lane)
+		sched := mkRun(2+i, false)
+		sched.Sched.Roles = []string{"r"}
+		cs.storeSchedule(fmt.Sprintf("sched-%d", i), sched)
+	}
+	cs.storeRun("S", streamEntry{App: "URL", Packets: 300}, mkRun(2, false))
+	var streams bytes.Buffer
+	if err := cs.SaveWithStreams(&streams); err != nil {
 		tb.Fatal(err)
 	}
-	return [][]byte{lean.Bytes(), full.Bytes(), composed.Bytes(), profiled.Bytes(), parent}
+
+	images := [][]byte{lean.Bytes(), full.Bytes(), composed.Bytes(), profiled.Bytes(), streams.Bytes()}
+	for _, name := range []string{"parent_v4_streams.simcache", "parent_v4_rawchunks.simcache"} {
+		img, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		images = append(images, img)
+	}
+	return images
+}
+
+// checkFileLoad loads data through LoadFile — stream sections as
+// indexes, entries read on first use — and reads every entry: it must
+// never panic or hard-fail past the preamble. With resave, a load that
+// reports success must also leave a cache that saves and reloads whole
+// (entries dropped at first use included).
+func checkFileLoad(t *testing.T, path string, data []byte, resave bool) {
+	t.Helper()
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c := NewCache()
+	defer c.Release()
+	rep, err := c.LoadFile(path)
+	if err != nil {
+		if len(data) >= len(cacheMagic)+4 && bytes.HasPrefix(data, []byte(cacheMagic)) &&
+			binary.LittleEndian.Uint32(data[len(cacheMagic):]) == cacheVersion {
+			t.Fatalf("file load of %d bytes: hard error %v, want salvage", len(data), err)
+		}
+		return
+	}
+	readAllEntries(c)
+	if !resave {
+		return
+	}
+	var buf bytes.Buffer
+	if err := c.SaveWithStreams(&buf); err != nil {
+		t.Fatalf("cache loaded lazily from %d bytes (%+v) cannot re-save: %v", len(data), rep, err)
+	}
+	c2 := NewCache()
+	if rep2, err := c2.LoadReported(bytes.NewReader(buf.Bytes())); err != nil || !rep2.complete() {
+		t.Fatalf("lazily loaded cache re-saved unhealthy: %+v, %v", rep2, err)
+	}
+	if c2.Stats().Lanes != c.Stats().Lanes || c2.Len() != c.Len() {
+		t.Fatalf("re-save of a lazily loaded cache kept %+v of %+v", c2.Stats(), c.Stats())
+	}
 }
 
 // FuzzCacheLoad throws arbitrary bytes — seeded with every real cache
@@ -118,6 +179,7 @@ func FuzzCacheLoad(f *testing.F) {
 		if c2.Len() != c.Len() {
 			t.Fatalf("re-save round trip kept %d of %d entries", c2.Len(), c.Len())
 		}
+		checkFileLoad(t, filepath.Join(t.TempDir(), "fuzz.simcache"), data, true)
 	})
 }
 
@@ -126,9 +188,11 @@ func FuzzCacheLoad(f *testing.F) {
 // truncation length and a bit flip at every offset must either load
 // (possibly salvaging) or fail cleanly — never panic — and past the
 // preamble never hard-fail: a damaged section drops or truncates the
-// scan while the rest loads.
+// scan while the rest loads. The same holds for the lazy file load
+// (checkFileLoad), entries read on first use included.
 func TestCacheLoadMutationSweep(t *testing.T) {
 	preamble := len(cacheMagic) + 4
+	path := filepath.Join(t.TempDir(), "sweep.simcache")
 	for _, img := range fuzzSeedImages(t) {
 		for n := 0; n <= len(img); n++ {
 			_, err := NewCache().LoadReported(bytes.NewReader(img[:n]))
@@ -143,6 +207,29 @@ func TestCacheLoadMutationSweep(t *testing.T) {
 			if err != nil && off >= preamble {
 				t.Fatalf("image flipped at %d: hard error %v, want salvage or truncation", off, err)
 			}
+			if inLazyFrame(img, off) {
+				checkFileLoad(t, path, mut, false)
+			}
+		}
+		for n := 0; n <= len(img); n += 7 {
+			checkFileLoad(t, path, img[:n], false)
 		}
 	}
+}
+
+// inLazyFrame reports whether offset off of a well-formed image lies in
+// a frame LoadFile reads lazily (ids 12 and 13), header included.
+func inLazyFrame(img []byte, off int) bool {
+	for pos := len(cacheMagic) + 4; pos+frameHeaderLen <= len(img); {
+		id := img[pos]
+		end := pos + frameHeaderLen + int(binary.LittleEndian.Uint64(img[pos+1:pos+9])) + 4
+		if id == secEnd || off < pos {
+			return false
+		}
+		if off < end {
+			return id == secLanes || id == secScheds
+		}
+		pos = end
+	}
+	return false
 }

@@ -81,12 +81,13 @@ func TestLoadPartialDoesNotReplaceComplete(t *testing.T) {
 	}
 }
 
-// TestLoadParentStreamsSection pins the retired streams section: a v4
-// file written before whole-run streams became one-lane composed
-// captures (testdata: results, the old streams section, lanes,
+// TestLoadParentStreamsSection pins the retired sections: a v4 file
+// written before whole-run streams became one-lane composed captures
+// and before lanes and schedules gained the raw-chunk layout
+// (testdata: results, the old streams section, gob-layout lanes and
 // schedules, reuse and lane profiles, checkpoint) still loads — every
 // other section merges and nothing is reported dropped or truncated —
-// while its whole-run streams are skipped.
+// while its streams, lanes and schedules are skipped.
 func TestLoadParentStreamsSection(t *testing.T) {
 	c := NewCache()
 	rep, err := c.LoadFile(filepath.Join("testdata", "parent_v4_streams.simcache"))
@@ -96,13 +97,18 @@ func TestLoadParentStreamsSection(t *testing.T) {
 	if rep.Truncated || len(rep.Dropped) != 0 {
 		t.Fatalf("parent file did not load cleanly: %+v", rep)
 	}
-	for _, want := range []string{"results", "lanes", "schedules", "reuse-profiles", "lane-profiles", "checkpoint"} {
+	for _, want := range []string{"results", "reuse-profiles", "lane-profiles", "checkpoint"} {
 		if !slices.Contains(rep.Sections, want) {
 			t.Errorf("section %q not merged: %+v", want, rep.Sections)
 		}
 	}
+	for _, skipped := range []string{"lanes", "schedules"} {
+		if slices.Contains(rep.Sections, skipped) {
+			t.Errorf("retired gob-layout %s section merged: %+v", skipped, rep.Sections)
+		}
+	}
 	st := c.Stats()
-	if st.Entries != 2 || st.Streams != 0 || st.Lanes != 3 || st.Schedules != 1 ||
+	if st.Entries != 2 || st.Streams != 0 || st.Lanes != 0 || st.Schedules != 0 ||
 		st.ReuseProfiles != 1 || st.LaneProfiles != 1 {
 		t.Fatalf("parent file loaded as %+v", st)
 	}

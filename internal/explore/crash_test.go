@@ -196,14 +196,13 @@ type cacheFrame struct {
 const endFrameID = 0xFF
 
 // frameSectionNames mirrors the on-disk section ids; values are part
-// of the format and pinned here against accidental renumbering. Id 2
-// (whole-run streams) is retired: savers never write it. Ids 3 and 4
-// (gob-layout lanes and schedules) are still read but no longer
-// written; ids 9 and 10 replaced them.
+// of the format and pinned here against accidental renumbering. Ids 2,
+// 3 and 4 (whole-run streams, gob-layout lanes and schedules) are
+// retired: savers never write them and loaders skip them. Ids 9 and 10
+// (lanes and schedules without index and entry CRCs) are still read
+// but no longer written; ids 12 and 13 replaced them.
 var frameSectionNames = map[byte]string{
 	1:  "results",
-	3:  "lanes",
-	4:  "schedules",
 	5:  "reuse-profiles",
 	6:  "lane-profiles",
 	7:  "checkpoint",
@@ -211,6 +210,8 @@ var frameSectionNames = map[byte]string{
 	9:  "lanes",
 	10: "schedules",
 	11: "profiles",
+	12: "lanes",
+	13: "schedules",
 }
 
 // parseCacheFrames walks a sectioned cache image frame by frame.

@@ -300,15 +300,16 @@ func (c *Cache) ExportDelta(cur *DeltaCursor) *CacheDelta {
 		Scheds:    make(map[string]schedEntry),
 		LProfiles: make(map[string]*memsim.ReuseProfile),
 	}
+	var lanes, scheds []string
 	c.sm.RLock()
 	for k, s := range c.lanes {
 		if !cur.lanes[k] && !s.Partial {
-			d.Lanes[k] = s
+			lanes = append(lanes, k)
 		}
 	}
 	for k, e := range c.scheds {
 		if !cur.scheds[k] && !e.Ambient.Partial && !e.wholeRun() {
-			d.Scheds[k] = e
+			scheds = append(scheds, k)
 		}
 	}
 	for k, p := range c.lprofiles {
@@ -317,6 +318,18 @@ func (c *Cache) ExportDelta(cur *DeltaCursor) *CacheDelta {
 		}
 	}
 	c.sm.RUnlock()
+	// Unread entries are read here, outside the lock: the delta shares
+	// sub-streams, so it needs their chunks.
+	for _, k := range lanes {
+		if s, ok := c.laneAt(k); ok {
+			d.Lanes[k] = s
+		}
+	}
+	for _, k := range scheds {
+		if e, ok := c.schedAt(k); ok {
+			d.Scheds[k] = e
+		}
+	}
 	if d.Len() == 0 {
 		return nil
 	}

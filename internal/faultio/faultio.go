@@ -50,7 +50,10 @@ type FS interface {
 }
 
 // ReadFile is the subset of *os.File load code needs: sequential
-// reads, close, and the name for error messages.
+// reads, close, and the name for error messages. Load code that can
+// leave parts of a file unread until first use also asks for
+// io.ReaderAt (*os.File and the InjectFS wrapper implement it) and
+// reads the whole file up front when it is missing.
 type ReadFile interface {
 	io.Reader
 	Close() error
@@ -231,7 +234,6 @@ type InjectFS struct {
 	written  int64 // bytes accepted across all files
 	rTearAt  int64 // <0: no read tear
 	rTearErr error
-	rRead    int64      // bytes served across all opened files
 	failAt   map[Op]int // fail when the op's 1-based call counter equals this
 	failErr  map[Op]error
 	calls    map[Op]int
@@ -255,18 +257,18 @@ func (ifs *InjectFS) TearAfter(n int64, err error) *InjectFS {
 	return ifs
 }
 
-// TearReadAfter arms a torn read: across all files opened through this
-// FS, the first n bytes are served and every read after that fails
-// with err (ErrCrash if nil). A read straddling the budget returns the
-// in-budget prefix as a short read alongside the failure — the shape a
-// disk developing a bad sector mid-file presents. Returns the receiver
-// for chaining.
+// TearReadAfter arms a torn read: in every file opened through this FS
+// the bytes before offset n are served and every read of a byte at
+// offset n or past it fails with err (ErrCrash if nil), whether the
+// read is sequential (Read) or positioned (ReadAt). A read straddling
+// offset n returns the prefix before it as a short read alongside the
+// failure — the shape a disk developing a bad sector mid-file
+// presents. Returns the receiver for chaining.
 func (ifs *InjectFS) TearReadAfter(n int64, err error) *InjectFS {
 	ifs.mu.Lock()
 	defer ifs.mu.Unlock()
 	ifs.rTearAt = n
 	ifs.rTearErr = err
-	ifs.rRead = 0
 	return ifs
 }
 
@@ -337,26 +339,22 @@ func (ifs *InjectFS) tearConsume(n int64, tore bool) error {
 	return ErrCrash
 }
 
-// readTearBudget returns how many more bytes may be served before the
-// armed read tear fires, or a negative value when none is armed.
-func (ifs *InjectFS) readTearBudget() int64 {
+// readTearBudget returns how many bytes from file offset off on may be
+// served before the armed read tear, or a negative value when none is
+// armed.
+func (ifs *InjectFS) readTearBudget(off int64) int64 {
 	ifs.mu.Lock()
 	defer ifs.mu.Unlock()
 	if ifs.rTearAt < 0 {
 		return -1
 	}
-	return ifs.rTearAt - ifs.rRead
+	return max(ifs.rTearAt-off, 0)
 }
 
-// readTearConsume records n bytes served and returns the tear error to
-// report, if the tear fires within this read.
-func (ifs *InjectFS) readTearConsume(n int64, tore bool) error {
+// readTearFire records a fired read tear and returns its error.
+func (ifs *InjectFS) readTearFire() error {
 	ifs.mu.Lock()
 	defer ifs.mu.Unlock()
-	ifs.rRead += n
-	if !tore {
-		return nil
-	}
 	ifs.injected++
 	if ifs.rTearErr != nil {
 		return ifs.rTearErr
@@ -478,34 +476,49 @@ func (jf *injectFile) Close() error {
 func (jf *injectFile) Name() string { return jf.f.Name() }
 
 // injectReadFile routes a ReadFile's reads through its InjectFS's
-// armed read faults.
+// armed read faults. off is the file offset of the next sequential
+// read.
 type injectReadFile struct {
 	f   ReadFile
 	ifs *InjectFS
+	off int64
 }
 
 func (jf *injectReadFile) Read(p []byte) (int, error) {
 	if err := jf.ifs.check(OpRead); err != nil {
 		return 0, err
 	}
-	budget := jf.ifs.readTearBudget()
-	if budget < 0 {
-		return jf.f.Read(p)
+	n, err := jf.tornRead(p, jf.off, jf.f.Read)
+	jf.off += int64(n)
+	return n, err
+}
+
+// ReadAt implements io.ReaderAt with the same faults as Read: each call
+// counts as one read, and bytes at or past the tear fail.
+func (jf *injectReadFile) ReadAt(p []byte, off int64) (int, error) {
+	if err := jf.ifs.check(OpRead); err != nil {
+		return 0, err
+	}
+	ra, ok := jf.f.(io.ReaderAt)
+	if !ok {
+		return 0, fmt.Errorf("faultio: file %s cannot read at an offset", jf.f.Name())
+	}
+	return jf.tornRead(p, off, func(p []byte) (int, error) { return ra.ReadAt(p, off) })
+}
+
+// tornRead serves a read of p at file offset off through read, cut
+// short at the armed tear.
+func (jf *injectReadFile) tornRead(p []byte, off int64, read func([]byte) (int, error)) (int, error) {
+	budget := jf.ifs.readTearBudget(off)
+	if budget < 0 || int64(len(p)) <= budget {
+		return read(p)
 	}
 	if budget == 0 {
-		return 0, jf.ifs.readTearConsume(0, true)
+		return 0, jf.ifs.readTearFire()
 	}
-	if int64(len(p)) <= budget {
-		n, err := jf.f.Read(p)
-		if terr := jf.ifs.readTearConsume(int64(n), false); terr != nil && err == nil {
-			err = terr
-		}
-		return n, err
-	}
-	n, err := jf.f.Read(p[:budget])
-	terr := jf.ifs.readTearConsume(int64(n), err == nil)
+	n, err := read(p[:budget])
 	if err == nil {
-		err = terr
+		err = jf.ifs.readTearFire()
 	}
 	return n, err
 }
